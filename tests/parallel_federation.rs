@@ -13,6 +13,13 @@
 //!   streams, barrier-stale telemetry, same-instant cross-site ties)
 //!   applies, so the parallel report must equal the sequential
 //!   federation's report byte-for-byte — with and without chaos.
+//! * **Report goldens** — fixed-seed FNV-64 hashes of the parallel
+//!   executor's own reports (stochastic service under least-loaded,
+//!   with and without the chaos storm, and a hedged run on delayed
+//!   telemetry) plus the sequential federation's report for the same
+//!   hedged configuration. Thread-count invariance alone would not
+//!   notice a change that shifts every thread count's bytes the same
+//!   way; these do.
 //! * **Conservation proptest** — randomized topologies, latencies and
 //!   fault schedules conserve every request across shard boundaries
 //!   (exactly one fate: completed, lost, timed out, or outstanding;
@@ -22,8 +29,8 @@
 use lass::simcore::{
     run_federation_parallel, run_simulation, ChaosConfig, ChaosPolicy, ContainerChaos,
     EngineConfig, EngineOutcome, Fault, FedFunction, FederatedReport, Federation, FnStats,
-    FunctionEntry, PolicyCtx, ReqId, RouterKind, SchedulerPolicy, SimDuration, SimTime, SiteMeta,
-    StaticPoisson,
+    FunctionEntry, HedgeConfig, HedgeTrigger, PolicyCtx, ReqId, RouterKind, SchedulerPolicy,
+    SimDuration, SimTime, SiteMeta, StaticPoisson, TelemetryConfig, UtilizationReconciler,
 };
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -319,6 +326,103 @@ fn parallel_matches_sequential_exactly_under_chaos() {
     // The differential is only meaningful if the faults engaged.
     assert!(par.per_site.iter().map(|s| s.migrated).sum::<usize>() > 0);
 }
+
+/// The hedged, delayed-telemetry configuration shared by the parallel
+/// and sequential goldens: deferred 30 ms hedging, 250 ms jittered
+/// snapshots with background loss, and a reconciler answering them.
+fn hedged_telemetry_fed() -> Federation<StochServer> {
+    let mut fed = stoch_fed(RouterKind::LeastLoaded, &LATS, 0.2);
+    fed.set_hedge(HedgeConfig {
+        trigger: HedgeTrigger::DeferredMs(30.0),
+        ..HedgeConfig::default()
+    });
+    fed.set_telemetry(
+        TelemetryConfig {
+            report_interval: SimDuration::from_millis(250),
+            jitter: SimDuration::from_millis(50),
+            loss_under_partition: true,
+            loss_prob: 0.05,
+        },
+        11,
+    );
+    fed.set_reconciler(Box::new(UtilizationReconciler::new(0.5)));
+    fed
+}
+
+#[test]
+fn parallel_report_goldens() {
+    let plain = run_parallel_stoch(2, ChaosConfig::default());
+    assert_eq!(
+        fnv64(&report_json(&plain)),
+        GOLDEN_PAR_PLAIN,
+        "parallel least-loaded report changed"
+    );
+    let stormy = run_parallel_stoch(2, storm());
+    assert_eq!(
+        fnv64(&report_json(&stormy)),
+        GOLDEN_PAR_STORM,
+        "parallel least-loaded chaos-storm report changed"
+    );
+    let hedged = run_federation_parallel(
+        engine_cfg(11, Some(2)),
+        probe_entry(8.0),
+        hedged_telemetry_fed(),
+        ChaosConfig::default(),
+        11,
+    );
+    assert!(hedged.aggregate_per_fn[0].hedged > 0);
+    assert_eq!(
+        fnv64(&report_json(&hedged)),
+        GOLDEN_PAR_HEDGED,
+        "parallel hedged delayed-telemetry report changed"
+    );
+    // The same under the storm: hedge groups meet crash migration,
+    // bounced deliveries and partition loss rules.
+    let hedged_storm = run_federation_parallel(
+        engine_cfg(11, Some(2)),
+        probe_entry(8.0),
+        hedged_telemetry_fed(),
+        storm(),
+        11,
+    );
+    assert_eq!(
+        fnv64(&report_json(&hedged_storm)),
+        GOLDEN_PAR_HEDGED_STORM,
+        "parallel hedged delayed-telemetry chaos-storm report changed"
+    );
+}
+
+#[test]
+fn sequential_hedged_telemetry_golden() {
+    let rep = run_simulation(
+        engine_cfg(11, None),
+        probe_entry(8.0),
+        hedged_telemetry_fed(),
+    );
+    assert!(rep.aggregate_per_fn[0].hedged > 0);
+    assert_eq!(
+        fnv64(&report_json(&rep)),
+        GOLDEN_SEQ_HEDGED,
+        "sequential hedged delayed-telemetry report changed"
+    );
+    let stormy = run_simulation(
+        engine_cfg(11, None),
+        probe_entry(8.0),
+        ChaosPolicy::new(hedged_telemetry_fed(), storm(), 11),
+    );
+    assert_eq!(
+        fnv64(&report_json(&stormy)),
+        GOLDEN_SEQ_HEDGED_STORM,
+        "sequential hedged delayed-telemetry chaos-storm report changed"
+    );
+}
+
+const GOLDEN_PAR_PLAIN: u64 = 0xbe8a_06ac_e57c_8a0b;
+const GOLDEN_PAR_STORM: u64 = 0xfd01_6e0f_5da2_a055;
+const GOLDEN_PAR_HEDGED: u64 = 0x002e_49fc_88ac_4cde;
+const GOLDEN_SEQ_HEDGED: u64 = 0xf34c_f137_f3ec_8d00;
+const GOLDEN_PAR_HEDGED_STORM: u64 = 0xb3d8_0304_7376_784d;
+const GOLDEN_SEQ_HEDGED_STORM: u64 = 0xe2c3_788f_6fd5_02e4;
 
 #[test]
 #[should_panic(expected = "latency > 0")]
