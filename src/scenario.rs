@@ -646,6 +646,18 @@ impl Scenario {
                     .workload
                     .validate()
                     .map_err(|e| format!("function {:?}: {e}", spec.name))?;
+                for (field, v) in [
+                    ("slo_ms", entry.slo_ms),
+                    ("weight", entry.weight),
+                    ("user_weight", entry.user_weight),
+                ] {
+                    if !(v.is_finite() && v > 0.0) {
+                        return Err(format!(
+                            "function {:?}: {field} must be finite and positive, got {v}",
+                            spec.name
+                        ));
+                    }
+                }
                 let mut setup =
                     FunctionSetup::new(spec, entry.slo_ms / 1e3, entry.workload.clone());
                 setup.weight = entry.weight;
@@ -788,6 +800,31 @@ mod tests {
             chaos: None,
         };
         assert!(sc.run().is_err());
+    }
+
+    /// Non-positive `slo_ms`, `weight` and `user_weight` are input
+    /// errors, not registry panics — on single-cluster and topology
+    /// scenarios alike.
+    #[test]
+    fn non_positive_slo_and_weights_rejected() {
+        for (field, value) in [
+            ("slo_ms", 0.0),
+            ("slo_ms", -5.0),
+            ("weight", 0.0),
+            ("user_weight", 0.0),
+        ] {
+            for base in [DEMO, FEDERATED] {
+                let mut sc = Scenario::from_json(base).expect("valid scenario");
+                let f = &mut sc.functions[0];
+                match field {
+                    "slo_ms" => f.slo_ms = value,
+                    "weight" => f.weight = value,
+                    _ => f.user_weight = value,
+                }
+                let err = sc.run_report().expect_err("must be rejected");
+                assert!(err.contains(field), "{field}: {err}");
+            }
+        }
     }
 
     #[test]
