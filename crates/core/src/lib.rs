@@ -60,6 +60,6 @@ pub use model::{desired_allocation, wait_budget_for, DesiredAllocation, ModelErr
 pub use predictor::{BurstAwarePredictor, HoltPredictor, PeakPredictor, Predictor, PredictorKind};
 pub use reclaim::{deflation_commands, termination_commands, FnSnapshot};
 pub use registry::{FunctionRecord, FunctionRegistry};
-pub use simulation::{FnReport, FunctionSetup, SimReport, Simulation};
+pub use simulation::{slo_attainment, FnReport, FunctionSetup, SimReport, Simulation};
 pub use staticalloc::StaticRrSimulation;
 pub use tree::WeightTree;

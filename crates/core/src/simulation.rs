@@ -108,15 +108,21 @@ pub struct FnReport {
     pub rate_timeline: TimeSeries,
 }
 
+/// Fraction of finished requests (completed plus abandoned) whose wait
+/// met the SLO deadline; abandoned requests count as violations. `1`
+/// when nothing finished.
+pub fn slo_attainment(completed: usize, timeouts: usize, slo_violations: usize) -> f64 {
+    let finished = completed + timeouts;
+    if finished == 0 {
+        return 1.0;
+    }
+    1.0 - slo_violations as f64 / finished as f64
+}
+
 impl FnReport {
-    /// Fraction of requests whose wait met the SLO deadline (abandoned
-    /// requests count as violations).
+    /// This function's [`slo_attainment`].
     pub fn slo_attainment(&self) -> f64 {
-        let finished = self.completed + self.timeouts;
-        if finished == 0 {
-            return 1.0;
-        }
-        1.0 - self.slo_violations as f64 / finished as f64
+        slo_attainment(self.completed, self.timeouts, self.slo_violations)
     }
 }
 

@@ -36,6 +36,7 @@
 //! propagation delay — the decay curve of router advantage vs staleness
 //! falls straight out of the table.
 
+use lass::core::slo_attainment;
 use lass::scenario::{ChaosSpec, Scenario, ScenarioPolicy, ScenarioReport};
 use lass_simcore::{HedgeConfig, HedgeTrigger, RouterKind, SampleStats};
 use rayon::prelude::*;
@@ -415,12 +416,7 @@ fn run_cell(sc: &Scenario, key: &SweepRowKey) -> Result<SweepRow, String> {
             row.failed += rep.unroutable;
         }
     }
-    let finished = row.completed + row.timeouts;
-    row.slo_attainment = if finished == 0 {
-        1.0
-    } else {
-        1.0 - row.slo_violations as f64 / finished as f64
-    };
+    row.slo_attainment = slo_attainment(row.completed, row.timeouts, row.slo_violations);
     row.mean_wait_ms = waits.mean().unwrap_or(0.0) * 1e3;
     row.p95_wait_ms = waits.percentile(0.95).unwrap_or(0.0) * 1e3;
     row.p99_wait_ms = waits.percentile(0.99).unwrap_or(0.0) * 1e3;
