@@ -20,8 +20,8 @@
 //!
 //! 1. **Front-end phase** (main thread): arrivals and due deliveries in
 //!    `[T, H)` are processed from the front-end calendar. Routing
-//!    decisions happen here — arrivals are routed exactly as the
-//!    sequential federation routes them, and each routed request is
+//!    decisions happen here, through the same front-end core the
+//!    sequential federation uses, and each routed request is
 //!    scheduled as a delivery at `t + latency`. A delivery whose
 //!    destination went dark bounces into migration, also here. Because
 //!    `latency ≥ L`, a delivery created in this window always lands in
@@ -42,10 +42,21 @@
 //! Site-level faults ([`Fault`]) are window split points: the fault
 //! schedule is materialized up front
 //! ([`ChaosConfig::build_schedule`]), each fault instant terminates a
-//! window, and the fault is applied by the main thread at the barrier —
-//! crash orphan migration, rebuild-on-recovery, partition bookkeeping —
-//! mirroring the sequential [`ChaosTarget`] implementation of the
-//! federation.
+//! window, and the fault is applied by the main thread at the barrier:
+//! the shared front end flips its state exactly as under the sequential
+//! [`ChaosTarget`](crate::chaos::ChaosTarget) implementation, and the
+//! shard gets the site-side half (crash orphan migration,
+//! rebuild-on-recovery, partition and burst messages).
+//!
+//! # What this executor owns
+//!
+//! Routing-side state and decisions belong to the front-end core shared
+//! with [`Federation`] (see [`crate::federation`]), which reads each
+//! site's census through one lock on its barrier-parked shard per
+//! refresh. This module keeps the shards and their site-local
+//! [`PolicyCtx`], the worker pump, the window loop, the merge, and
+//! merge-order hedge arbitration: the first terminal outcome of any copy
+//! to merge wins, and later copies count as cancelled or wasted work.
 //!
 //! # Determinism contract
 //!
@@ -80,15 +91,12 @@ use crate::engine::{
     Completion, EngineConfig, EngineOutcome, FnStats, FunctionEntry, PolicyCtx, ReqId,
 };
 use crate::events::EventQueue;
-use crate::federation::{
-    FederatedReport, Federation, HedgeConfig, HedgeTrigger, SiteMeta, SiteReport, SiteTally,
-};
-use crate::metrics::{DowntimeClock, SampleStats};
+use crate::federation::{FederatedReport, Federation, SiteRebuild};
+use crate::frontend::{FrontEnd, HedgeAction, SiteAccess, SiteEffect};
+use crate::metrics::SampleStats;
 use crate::rng::SimRng;
-use crate::router::{predicted_score, RouterConfig, RouterPolicy, SiteState};
-use crate::telemetry::{ReconcilerSeam, TelemetryRuntime, TelemetrySnapshot};
+use crate::telemetry::TelemetrySnapshot;
 use crate::time::{SimDuration, SimTime};
-use lass_queueing::{ForecastCache, HealthEwma, WaitPredictor};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Barrier, Mutex};
 
@@ -214,9 +222,9 @@ struct LocalCtx<'a, E> {
 impl<E> ShardState<E> {
     /// The shared completion path: compute the request's timings, fold
     /// them into the site statistics, and log the outcome for the merge
-    /// phase. Mirrors the sequential engine's `complete` +
-    /// `SiteTally::record_completion` pair (the predictor half of
-    /// `record_completion` is replayed by the merge phase).
+    /// phase. Mirrors the sequential engine's `complete` plus the
+    /// federation's site-side completion record (the front end's half
+    /// is replayed by the merge phase).
     fn complete_now(&mut self, rid: u64, started: SimTime, now: SimTime) -> Option<Completion> {
         let (fn_idx, arrival) = self.live.remove(&rid)?;
         let wait = started.saturating_since(arrival).as_secs_f64();
@@ -425,53 +433,6 @@ fn pump_shard<P: ContainerChaos>(shard: &mut Shard<P>, horizon: SimTime) {
     }
 }
 
-/// The front-end's per-site bookkeeping: the router-visible half of the
-/// sequential `SiteTally`.
-struct FrontSite {
-    meta: SiteMeta,
-    routed: usize,
-    finished: usize,
-    up: bool,
-    partitioned: bool,
-    /// Whether a [`Fault::SiteSlowdown`] brown-out is active (the site
-    /// stays routable but the health EWMA sees it as degraded).
-    slowed: bool,
-    needs_rebuild: bool,
-    restarts: u32,
-    migrated_out: usize,
-    migrated_in: usize,
-    failed: usize,
-    downtime: DowntimeClock,
-    predictor: WaitPredictor,
-    fcache: ForecastCache,
-    health: HealthEwma,
-    /// Hedge-loser completions that beat their cancel home: the site
-    /// finished work nobody was waiting for.
-    wasted: usize,
-    /// Service seconds burnt on those completions.
-    wasted_secs: f64,
-}
-
-impl FrontSite {
-    fn routable(&self) -> bool {
-        self.up && !self.partitioned
-    }
-
-    /// Close the downtime-clock transition after routability changed;
-    /// the flakiness EWMA sees the true instant, the clock is clamped
-    /// to the nominal end (mirrors the sequential `clock_routability`).
-    fn clock_routability(&mut self, now: SimTime, end: SimTime) {
-        self.health
-            .observe(now.as_secs_f64(), self.slowed || !self.routable());
-        let now = now.min(end);
-        if self.routable() {
-            self.downtime.mark_up(now);
-        } else {
-            self.downtime.mark_down(now);
-        }
-    }
-}
-
 /// Front-end calendar events: the arrival pump plus in-flight network
 /// hops. Faults are *not* calendar events here — every fault instant is
 /// a window barrier handled by the main thread.
@@ -545,21 +506,24 @@ struct FeHedge {
     lost: Vec<u32>,
 }
 
+/// The census of barrier-parked shards: one uncontended lock per call
+/// (phases never overlap, so the site's state is as of the last
+/// barrier — at most one lookahead window stale, and identical for
+/// every thread count).
+impl<P: ContainerChaos> SiteAccess for [Mutex<Shard<P>>] {
+    type Policy = P;
+
+    fn with_site<R>(&self, i: usize, f: impl FnOnce(&P) -> R) -> R {
+        f(&self[i].lock().expect("shard lock").policy)
+    }
+}
+
 /// Everything the main thread owns between worker phases.
-struct Frontend<P: ContainerChaos> {
+struct Coordinator<P: ContainerChaos> {
     calendar: EventQueue<FeEv>,
-    fronts: Vec<FrontSite>,
-    router: Box<dyn RouterPolicy + Send>,
-    states: Vec<SiteState>,
-    /// The router/telemetry knobs in force (rebuilds a crashed site's
-    /// predictor with the same smoothing constants).
-    router_cfg: RouterConfig,
-    /// Delayed-telemetry propagation state (disabled ⇒ oracle routing).
-    telemetry: TelemetryRuntime,
-    /// Optional scaling reconciler fed each snapshot as it arrives.
-    reconciler: Option<Box<dyn ReconcilerSeam>>,
-    migration_penalty: SimDuration,
-    rebuild: Option<crate::federation::SiteRebuild<P>>,
+    /// The router-facing half, shared with the sequential federation.
+    front: FrontEnd,
+    rebuild: Option<SiteRebuild<P>>,
     /// Per-function arrival machinery — identical streams and call
     /// sequence to the sequential engine, so the arrival timeline (and
     /// request-id assignment) matches the sequential run exactly.
@@ -567,29 +531,16 @@ struct Frontend<P: ContainerChaos> {
     /// Cross-site aggregate statistics (the engine's own measurement in
     /// the sequential run).
     agg: Vec<FnStats>,
-    unroutable: usize,
     arrivals_total: usize,
-    completed_total: usize,
     timeouts_total: usize,
     lost_total: usize,
     next_rid: u64,
     end: SimTime,
-    /// Hedged-request configuration (absent = no hedging; the hedge
-    /// paths below are then never taken and the executor is
-    /// byte-identical to its pre-hedging behaviour).
-    hedge: Option<HedgeConfig>,
     /// Live hedge groups by logical request id.
     hedges: BTreeMap<u64, FeHedge>,
-    /// Per-function demand vectors (the planner router's fit
-    /// denominators), from [`crate::federation::FedFunction::demand`].
-    fn_demands: Vec<[f64; 3]>,
-    /// Whether the run opted into multi-dimensional accounting (gates
-    /// the per-site `utilization` report key and the telemetry
-    /// resources column, exactly like the sequential federation).
-    multidim: bool,
 }
 
-impl<P: ContainerChaos> Frontend<P> {
+impl<P: ContainerChaos> Coordinator<P> {
     fn schedule_next_arrival(&mut self, fn_idx: u32, now: SimTime) {
         let (process, rng) = &mut self.procs[fn_idx as usize];
         if let Some(t) = process.next_after(now, rng) {
@@ -597,163 +548,24 @@ impl<P: ContainerChaos> Frontend<P> {
         }
     }
 
-    /// Refresh the router's scratch view — the parallel analogue of the
-    /// sequential `Federation::refresh_states`, dispatching between the
-    /// oracle census and the delayed-telemetry view.
-    fn refresh_states(&mut self, shards: &[Mutex<Shard<P>>], fn_idx: u32, now: SimTime) {
-        if self.telemetry.enabled() {
-            self.refresh_states_stale(fn_idx, now);
-            return;
-        }
-        let t = now.as_secs_f64();
-        for (i, state) in self.states.iter_mut().enumerate() {
-            let front = &mut self.fronts[i];
-            state.in_flight = front.routed.saturating_sub(front.finished) as u64;
-            state.up = front.routable();
-            front.health.observe(t, front.slowed || !front.routable());
-            state.flakiness = front.health.value();
-            // The census reads the shard directly — phases never
-            // overlap, so the lock is uncontended; the fleet is the
-            // site's state as of the last barrier (≤ one lookahead
-            // window stale).
-            let shard = shards[i].lock().expect("shard lock");
-            state.warm = shard.policy.warm_containers(fn_idx);
-            let fleet: u64 = (0..shard.st.per_fn.len())
-                .map(|f| shard.policy.warm_containers(f as u32))
-                .sum();
-            state.resources = shard.policy.resource_snapshot();
-            drop(shard);
-            state.fits = state.resources.fit_count(
-                self.fn_demands
-                    .get(fn_idx as usize)
-                    .copied()
-                    .unwrap_or_default(),
-            );
-            let servers = if fleet > 0 {
-                fleet.min(u64::from(u32::MAX)) as u32
-            } else {
-                state.capacity_hint.round().max(1.0) as u32
-            };
-            state.forecast = front.fcache.refresh(&mut front.predictor, t, servers);
-        }
-    }
-
-    /// The delayed-telemetry half of [`Frontend::refresh_states`]:
-    /// site-side columns come from the last *arrived* snapshot, only
-    /// the commitment counter stays live.
-    fn refresh_states_stale(&mut self, fn_idx: u32, now: SimTime) {
-        for (i, state) in self.states.iter_mut().enumerate() {
-            let front = &self.fronts[i];
-            let view = &self.telemetry.views[i];
-            state.in_flight = front.routed.saturating_sub(front.finished) as u64;
-            state.up = self.telemetry.view_up(i, front.meta.latency, now);
-            state.forecast = view.forecast;
-            state.flakiness = view.flakiness;
-            state.warm = view.warm.get(fn_idx as usize).copied().unwrap_or(0);
-            state.resources = view.resources;
-            state.fits = state.resources.fit_count(
-                self.fn_demands
-                    .get(fn_idx as usize)
-                    .copied()
-                    .unwrap_or_default(),
-            );
-        }
-    }
-
-    /// Replicate the sequential `refresh_states` + router call: refresh
-    /// the scratch view from the front-end counters and the shards'
-    /// (barrier-stale) warm census, then route with
-    /// fallback-to-first-routable.
-    fn pick_site(&mut self, shards: &[Mutex<Shard<P>>], fn_idx: u32, now: SimTime) -> usize {
-        self.refresh_states(shards, fn_idx, now);
-        if self.telemetry.enabled() {
-            return self.pick_site_stale(fn_idx, now);
-        }
-        let fallback = self
-            .fronts
-            .iter()
-            .position(FrontSite::routable)
-            .expect("caller checked a routable site exists");
-        let chosen = self.router.route(fn_idx, now, &self.states);
-        let ok = chosen < self.fronts.len() && self.fronts[chosen].routable();
-        debug_assert!(ok, "router returned unroutable site {chosen}");
-        if ok {
-            chosen
-        } else {
-            fallback
-        }
-    }
-
-    /// The stale-view routing decision — the exact mirror of the
-    /// sequential `Federation::pick_site_stale` (states already
-    /// refreshed by [`Frontend::refresh_states`]): when the view marks
-    /// every site down the front end routes blind to the first
-    /// physically routable site.
-    fn pick_site_stale(&mut self, fn_idx: u32, now: SimTime) -> usize {
-        let Some(fallback) = self.states.iter().position(|s| s.up) else {
-            return self
-                .fronts
-                .iter()
-                .position(FrontSite::routable)
-                .expect("caller checked a routable site exists");
-        };
-        let chosen = self.router.route(fn_idx, now, &self.states);
-        let ok = chosen < self.fronts.len() && self.states[chosen].up;
-        debug_assert!(ok, "router returned view-down site {chosen}");
-        if ok {
-            chosen
-        } else {
-            fallback
-        }
-    }
-
-    /// Whether the waste-admission budget permits issuing another clone
-    /// or retry — the mirror of `Federation::hedge_within_budget`, fed
-    /// from the merge-phase counters (so at most one lookahead window
-    /// stale, deterministic for every thread count).
-    fn hedge_within_budget(&self) -> bool {
-        let Some(cfg) = self.hedge else { return false };
-        if cfg.waste_budget <= 0.0 {
-            return true;
-        }
-        let wasted: usize = self.fronts.iter().map(|f| f.wasted).sum();
-        if wasted == 0 {
-            return true;
-        }
-        (wasted as f64) < cfg.waste_budget * ((self.completed_total + wasted) as f64)
-    }
-
-    /// Dispatch hedge clones for `rid` to the best-scored sites (by the
-    /// routers' shared `predicted_score`) not already holding a copy —
-    /// the parallel mirror of `Federation::dispatch_clones`. Assumes
-    /// [`Frontend::refresh_states`] ran for this decision. A group that
-    /// ends with a single copy and no pending deferred fire dissolves.
+    /// Dispatch hedge clones for `rid` to the front end's clone targets.
+    /// Assumes the router's view was refreshed for this decision. A
+    /// group that ends with a single copy and no pending deferred fire
+    /// dissolves.
     fn dispatch_clones(&mut self, rid: u64, fn_idx: u32, now: SimTime) {
-        let Some(hcfg) = self.hedge else { return };
-        let pct = self.router_cfg.percentile;
-        let cold = self.router_cfg.cold_start_penalty_ms / 1e3;
+        let Some(hcfg) = self.front.hedge else { return };
         for _ in 0..hcfg.max_clones {
-            let copies = &self.hedges[&rid].copies;
-            let mut best: Option<(f64, usize)> = None;
-            for (i, s) in self.states.iter().enumerate() {
-                if !s.up || copies.contains(&(i as u32)) {
-                    continue;
-                }
-                let score = predicted_score(s, pct, cold);
-                if best.is_none_or(|(b, _)| score < b) {
-                    best = Some((score, i));
-                }
-            }
-            let Some((_, c)) = best else { break };
+            let Some(c) = self.front.clone_target(&self.hedges[&rid].copies) else {
+                break;
+            };
             let group = self.hedges.get_mut(&rid).expect("group inserted by caller");
             group.copies.push(c as u32);
             let arrival = group.arrival;
-            self.fronts[c].routed += 1;
-            self.fronts[c].predictor.on_arrival(now.as_secs_f64());
+            self.front.note_routed(c, now);
             self.agg[fn_idx as usize].hedged += 1;
             // Latencies are validated positive: the clone always
             // crosses the calendar, landing in a later window.
-            let latency = self.fronts[c].meta.latency;
+            let latency = self.front.sites[c].meta.latency;
             self.calendar.schedule(
                 now + latency,
                 FeEv::DeliveryDue {
@@ -773,12 +585,38 @@ impl<P: ContainerChaos> Frontend<P> {
         }
     }
 
+    /// Settle one loser's debt on a resolved group; drop the group once
+    /// every loser has settled.
+    fn settle_loser(&mut self, rid: u64) {
+        if let Some(g) = self.hedges.get_mut(&rid) {
+            g.pending_losers = g.pending_losers.saturating_sub(1);
+            if g.pending_losers == 0 {
+                self.hedges.remove(&rid);
+            }
+        }
+    }
+
+    /// Settle the debt of `rid`'s copy abandoned at `site` (a retry's
+    /// original), if there is one; `true` when there was.
+    fn settle_abandoned(&mut self, rid: u64, site: u32) -> bool {
+        let Some(g) = self.hedges.get_mut(&rid) else {
+            return false;
+        };
+        let Some(p) = g.lost.iter().position(|&s| s == site) else {
+            return false;
+        };
+        g.lost.remove(p);
+        g.pending_losers = g.pending_losers.saturating_sub(1);
+        if g.resolved && g.pending_losers == 0 {
+            self.hedges.remove(&rid);
+        }
+        true
+    }
+
     /// Move a request committed to site `from` onto a surviving site, or
-    /// fail it when none is left — the front-end half of the sequential
-    /// `Federation::migrate`. `delivered` says whether the request had
-    /// already reached the site (crash orphan, shard-side accounting
+    /// fail it when none is left. `delivered` says whether the request
+    /// had already reached the site (crash orphan, shard-side accounting
     /// already released) or was still in transit (bounced delivery).
-    #[allow(clippy::too_many_arguments)]
     fn migrate(
         &mut self,
         shards: &[Mutex<Shard<P>>],
@@ -789,53 +627,34 @@ impl<P: ContainerChaos> Frontend<P> {
         now: SimTime,
         delivered: bool,
     ) {
-        self.fronts[from].finished += 1;
-        if self.hedge.is_some() {
-            if let Some(g) = self.hedges.get_mut(&rid) {
-                // A copy this front end already abandoned (retry) dies
-                // with its site instead of migrating — its pending
-                // cancel finds nothing and the loser debt settles here.
-                if let Some(p) = g.lost.iter().position(|&s| s == from as u32) {
-                    g.lost.remove(p);
-                    g.pending_losers = g.pending_losers.saturating_sub(1);
-                    if g.resolved && g.pending_losers == 0 {
-                        self.hedges.remove(&rid);
-                    }
-                    self.agg[fn_idx as usize].cancelled += 1;
-                    if delivered {
-                        let mut shard = shards[from].lock().expect("shard lock");
-                        shard.st.per_fn[fn_idx as usize].cancelled += 1;
-                    }
-                    return;
-                }
-                if g.copies.len() > 1 || g.resolved {
-                    // A hedge clone with a surviving sibling — or whose
-                    // request already won — dies quietly instead of
-                    // migrating: an orphaned clone must never resurrect
-                    // an answered request, and a sibling copy is
-                    // already racing elsewhere.
+        self.front.sites[from].finished += 1;
+        // A copy this front end already abandoned (retry) dies with its
+        // site instead of migrating — its pending cancel finds nothing
+        // and the loser debt settles here. So does a hedge clone with a
+        // surviving sibling, or whose request already won: an orphaned
+        // clone must never resurrect an answered request, and a sibling
+        // copy is already racing elsewhere.
+        let dies = self.settle_abandoned(rid, from as u32)
+            || match self.hedges.get_mut(&rid) {
+                Some(g) if g.copies.len() > 1 || g.resolved => {
                     g.copies.retain(|&s| s != from as u32);
-                    let done = if g.resolved {
-                        g.pending_losers = g.pending_losers.saturating_sub(1);
-                        g.pending_losers == 0
-                    } else {
-                        false
-                    };
-                    if done {
-                        self.hedges.remove(&rid);
+                    if g.resolved {
+                        self.settle_loser(rid);
                     }
-                    self.agg[fn_idx as usize].cancelled += 1;
-                    if delivered {
-                        let mut shard = shards[from].lock().expect("shard lock");
-                        shard.st.per_fn[fn_idx as usize].cancelled += 1;
-                    }
-                    return;
+                    true
                 }
+                _ => false,
+            };
+        if dies {
+            self.agg[fn_idx as usize].cancelled += 1;
+            if delivered {
+                let mut shard = shards[from].lock().expect("shard lock");
+                shard.st.per_fn[fn_idx as usize].cancelled += 1;
             }
+            return;
         }
-        if !self.fronts.iter().any(FrontSite::routable) {
+        let Some((dest, hop)) = self.front.reroute(shards, from, fn_idx, now) else {
             // Nowhere to go: the request is failed (engine-level lost).
-            self.fronts[from].failed += 1;
             if delivered {
                 let mut shard = shards[from].lock().expect("shard lock");
                 shard.st.per_fn[fn_idx as usize].lost += 1;
@@ -850,14 +669,12 @@ impl<P: ContainerChaos> Frontend<P> {
                 }
             }
             return;
-        }
-        self.fronts[from].migrated_out += 1;
+        };
         if delivered {
             // The orphan lost its server; the aggregate rerun counter is
             // the cross-site view of that.
             self.agg[fn_idx as usize].reruns += 1;
         }
-        let dest = self.pick_site(shards, fn_idx, now);
         if let Some(g) = self.hedges.get_mut(&rid) {
             // The surviving last copy moves: keep the group's site map
             // honest so a later resolution cancels the right place.
@@ -865,12 +682,8 @@ impl<P: ContainerChaos> Frontend<P> {
                 *p = dest as u32;
             }
         }
-        self.fronts[dest].routed += 1;
-        self.fronts[dest].predictor.on_arrival(now.as_secs_f64());
-        self.fronts[dest].migrated_in += 1;
         // Latencies are validated positive, so the hop is never zero and
         // the re-delivery always goes through the calendar.
-        let hop = self.fronts[dest].meta.latency + self.migration_penalty;
         self.calendar.schedule(
             now + hop,
             FeEv::DeliveryDue {
@@ -882,111 +695,50 @@ impl<P: ContainerChaos> Frontend<P> {
         );
     }
 
-    /// Apply one fault at a window barrier — the parallel analogue of
-    /// the federation's `ChaosTarget::inject`.
+    /// Apply one fault at a window barrier: the front end flips its
+    /// state, the shard gets the site-side half.
     fn apply_fault(&mut self, shards: &[Mutex<Shard<P>>], fault: Fault, now: SimTime) {
         let i = fault.site() as usize;
-        if i >= self.fronts.len() {
-            debug_assert!(false, "fault targets unknown site {i}");
+        let Some(effect) = self.front.apply_fault(fault, now, self.end) else {
             return;
-        }
-        let end = self.end;
-        match fault {
-            Fault::SiteDown { .. } => {
-                if !self.fronts[i].up {
-                    return;
-                }
+        };
+        let mut shard = shards[i].lock().expect("shard lock");
+        match effect {
+            SiteEffect::Crash => {
                 assert!(
                     self.rebuild.is_some(),
                     "site-crash faults require Federation::with_rebuild"
                 );
-                self.fronts[i].up = false;
-                self.fronts[i].needs_rebuild = true;
-                let orphans: Vec<(u64, (u32, SimTime))> = {
-                    let mut shard = shards[i].lock().expect("shard lock");
-                    // Every pending event belongs to the dead
-                    // incarnation — the shard advanced exactly to the
-                    // fault instant, so the whole calendar is invalid.
-                    shard.st.queue.clear();
-                    shard.st.stalled.clear();
-                    shard.st.in_flight = 0;
-                    std::mem::take(&mut shard.st.live).into_iter().collect()
-                };
-                self.fronts[i].clock_routability(now, end);
+                // Every pending event belongs to the dead incarnation —
+                // the shard advanced exactly to the fault instant, so the
+                // whole calendar is invalid.
+                shard.st.queue.clear();
+                shard.st.stalled.clear();
+                shard.st.in_flight = 0;
+                let orphans = std::mem::take(&mut shard.st.live);
+                drop(shard);
                 for (rid, (fn_idx, arrival)) in orphans {
                     self.migrate(shards, i, rid, fn_idx, arrival, now, true);
                 }
             }
-            Fault::SiteUp { .. } => {
-                if self.fronts[i].up {
-                    return;
-                }
-                self.fronts[i].up = true;
-                self.fronts[i].clock_routability(now, end);
-                if self.fronts[i].needs_rebuild {
-                    self.fronts[i].needs_rebuild = false;
-                    self.fronts[i].restarts += 1;
-                    // The rebuilt site starts cold with no history: drop
-                    // the dead incarnation's λ̂/μ̂ so the replacement's
-                    // forecasts start empty (the health EWMA stays — the
-                    // router remembers the crash). Mirrors the
-                    // sequential rebuild arm.
-                    self.fronts[i].predictor = WaitPredictor::new(self.router_cfg.predictor());
-                    self.fronts[i].fcache = ForecastCache::new();
-                    let restarts = self.fronts[i].restarts;
-                    let rebuild = self.rebuild.as_mut().expect("checked at SiteDown");
-                    let mut shard = shards[i].lock().expect("shard lock");
-                    shard.policy = rebuild(i, restarts);
-                    shard.st.in_flight = 0;
-                    for w in &mut shard.st.window {
-                        *w = 0;
-                    }
-                    // Replay the fresh policy's start-up (timer setup,
-                    // initial provisioning) shifted to the present.
-                    let Shard { policy, st } = &mut *shard;
-                    policy.on_start(&mut LocalCtx {
-                        st,
-                        now,
-                        offset: now.saturating_since(SimTime::ZERO),
-                    });
-                }
+            SiteEffect::Rebuild(restarts) => {
+                let rebuild = self.rebuild.as_mut().expect("checked at SiteDown");
+                shard.policy = rebuild(i, restarts);
+                shard.st.in_flight = 0;
+                shard.st.window.fill(0);
+                // Replay the fresh policy's start-up (timer setup,
+                // initial provisioning) shifted to the present.
+                let Shard { policy, st } = &mut *shard;
+                policy.on_start(&mut LocalCtx {
+                    st,
+                    now,
+                    offset: now.saturating_since(SimTime::ZERO),
+                });
             }
-            Fault::PartitionStart { .. } => {
-                if self.fronts[i].partitioned {
-                    return;
-                }
-                self.fronts[i].partitioned = true;
-                self.fronts[i].clock_routability(now, end);
-                let mut shard = shards[i].lock().expect("shard lock");
-                shard.st.inbox.push_back((now, Msg::PartitionStart));
-            }
-            Fault::PartitionEnd { .. } => {
-                if !self.fronts[i].partitioned {
-                    return;
-                }
-                self.fronts[i].partitioned = false;
-                self.fronts[i].clock_routability(now, end);
-                let mut shard = shards[i].lock().expect("shard lock");
-                shard.st.inbox.push_back((now, Msg::PartitionEnd));
-            }
-            Fault::SiteSlowdown { permille, .. } => {
-                // Brown-out: the site keeps serving (and stays
-                // routable) at `permille`/1000 of nominal speed; only
-                // the health EWMA sees the degradation.
-                self.fronts[i].slowed = permille < 1000;
-                {
-                    let mut shard = shards[i].lock().expect("shard lock");
-                    shard.policy.set_service_factor(permille as f64 / 1000.0);
-                }
-                self.fronts[i].clock_routability(now, end);
-            }
-            Fault::ContainerBurst { count, .. } => {
-                if !self.fronts[i].up {
-                    return; // a dead site has nothing left to crash
-                }
-                let mut shard = shards[i].lock().expect("shard lock");
-                shard.st.inbox.push_back((now, Msg::Burst { count }));
-            }
+            SiteEffect::PartitionStart => shard.st.inbox.push_back((now, Msg::PartitionStart)),
+            SiteEffect::PartitionEnd => shard.st.inbox.push_back((now, Msg::PartitionEnd)),
+            SiteEffect::Slowdown(factor) => shard.policy.set_service_factor(factor),
+            SiteEffect::Burst(count) => shard.st.inbox.push_back((now, Msg::Burst { count })),
         }
     }
 
@@ -999,24 +751,16 @@ impl<P: ContainerChaos> Frontend<P> {
     /// merge order is `(time, site, log-index)`-stable, the winner is
     /// identical for every thread count.
     fn hedge_arbitrate(&mut self, rid: u64, winner: u32, t: SimTime) -> bool {
+        // An abandoned (retry-lost) copy can never win, even if its
+        // terminal entry merges first: reclassify as wasted work.
+        if self.settle_abandoned(rid, winner) {
+            return true;
+        }
         let Some(g) = self.hedges.get_mut(&rid) else {
             return false;
         };
-        // An abandoned (retry-lost) copy can never win, even if its
-        // terminal entry merges first: reclassify as wasted work.
-        if let Some(p) = g.lost.iter().position(|&s| s == winner) {
-            g.lost.remove(p);
-            g.pending_losers = g.pending_losers.saturating_sub(1);
-            if g.resolved && g.pending_losers == 0 {
-                self.hedges.remove(&rid);
-            }
-            return true;
-        }
         if g.resolved {
-            g.pending_losers = g.pending_losers.saturating_sub(1);
-            if g.pending_losers == 0 {
-                self.hedges.remove(&rid);
-            }
+            self.settle_loser(rid);
             return true;
         }
         g.resolved = true;
@@ -1030,7 +774,7 @@ impl<P: ContainerChaos> Frontend<P> {
             self.calendar.cancel(token);
         }
         for site in losers {
-            let at = t + self.fronts[site as usize].meta.latency;
+            let at = t + self.front.sites[site as usize].meta.latency;
             self.calendar.schedule(at, FeEv::CancelDue { site, rid });
         }
         false
@@ -1049,8 +793,9 @@ impl<P: ContainerChaos> Frontend<P> {
         }
         // Stable by time: equal instants keep (site, log-index) order.
         merged.sort_by_key(|(_, e)| e.t);
-        let hedging = self.hedge.is_some();
+        let hedging = self.front.hedge.is_some();
         for (site, e) in merged {
+            let i = site as usize;
             match e.kind {
                 LogKind::Completed {
                     rid,
@@ -1063,16 +808,12 @@ impl<P: ContainerChaos> Frontend<P> {
                     if hedging && self.hedge_arbitrate(rid, site, e.t) {
                         // A loser finished before its cancel landed:
                         // honest wasted work, not a logical completion.
-                        let front = &mut self.fronts[site as usize];
-                        front.finished += 1;
-                        front.wasted += 1;
-                        front.wasted_secs += service;
+                        self.front.sites[i].finished += 1;
+                        self.front.record_waste(i, service);
                         self.agg[fn_idx as usize].cancelled += 1;
                         continue;
                     }
-                    let front = &mut self.fronts[site as usize];
-                    front.finished += 1;
-                    front.predictor.on_service(service);
+                    self.front.record_completion(i, service);
                     let f = &mut self.agg[fn_idx as usize];
                     f.completed += 1;
                     f.wait.record(wait);
@@ -1081,44 +822,178 @@ impl<P: ContainerChaos> Frontend<P> {
                     if violated {
                         f.slo_violations += 1;
                     }
-                    self.completed_total += 1;
                 }
-                LogKind::Timeout { rid, fn_idx } => {
+                LogKind::Timeout { rid, fn_idx } | LogKind::Lost { rid, fn_idx } => {
+                    self.front.sites[i].finished += 1;
                     if hedging && self.hedge_arbitrate(rid, site, e.t) {
-                        self.fronts[site as usize].finished += 1;
                         self.agg[fn_idx as usize].cancelled += 1;
                         continue;
                     }
-                    let front = &mut self.fronts[site as usize];
-                    front.finished += 1;
                     let f = &mut self.agg[fn_idx as usize];
-                    f.timeouts += 1;
-                    f.slo_violations += 1;
-                    self.timeouts_total += 1;
-                }
-                LogKind::Lost { rid, fn_idx } => {
-                    if hedging && self.hedge_arbitrate(rid, site, e.t) {
-                        self.fronts[site as usize].finished += 1;
-                        self.agg[fn_idx as usize].cancelled += 1;
-                        continue;
+                    if matches!(e.kind, LogKind::Timeout { .. }) {
+                        f.timeouts += 1;
+                        f.slo_violations += 1;
+                        self.timeouts_total += 1;
+                    } else {
+                        f.lost += 1;
+                        self.lost_total += 1;
                     }
-                    let front = &mut self.fronts[site as usize];
-                    front.finished += 1;
-                    self.agg[fn_idx as usize].lost += 1;
-                    self.lost_total += 1;
                 }
                 LogKind::Rerun { fn_idx } => {
                     self.agg[fn_idx as usize].reruns += 1;
                 }
                 LogKind::Cancelled { rid, fn_idx } => {
-                    self.fronts[site as usize].finished += 1;
+                    self.front.sites[i].finished += 1;
                     self.agg[fn_idx as usize].cancelled += 1;
-                    if let Some(g) = self.hedges.get_mut(&rid) {
-                        g.pending_losers = g.pending_losers.saturating_sub(1);
-                        if g.pending_losers == 0 {
-                            self.hedges.remove(&rid);
+                    self.settle_loser(rid);
+                }
+            }
+        }
+    }
+
+    /// The front-end phase: process every front-end calendar event
+    /// before `horizon`.
+    fn run_front_phase(&mut self, shards: &[Mutex<Shard<P>>], horizon: SimTime) {
+        while self.calendar.peek_time().is_some_and(|t| t < horizon) {
+            let (now, ev) = self.calendar.pop().expect("checked");
+            match ev {
+                FeEv::Arrival(fn_idx) => {
+                    let rid = self.next_rid;
+                    self.next_rid += 1;
+                    self.arrivals_total += 1;
+                    self.agg[fn_idx as usize].arrivals += 1;
+                    if let Some(chosen) = self.front.route_arrival(shards, fn_idx, now) {
+                        let latency = self.front.sites[chosen].meta.latency;
+                        self.calendar.schedule(
+                            now + latency,
+                            FeEv::DeliveryDue {
+                                site: chosen as u32,
+                                rid,
+                                fn_idx,
+                                arrival: now,
+                            },
+                        );
+                        if let Some(action) = self.front.arrival_hedge(chosen) {
+                            self.hedges.insert(
+                                rid,
+                                FeHedge {
+                                    arrival: now,
+                                    copies: vec![chosen as u32],
+                                    fire_token: None,
+                                    resolved: false,
+                                    pending_losers: 0,
+                                    lost: Vec::new(),
+                                },
+                            );
+                            match action {
+                                // The view is fresh from the routing decision.
+                                HedgeAction::Clone => self.dispatch_clones(rid, fn_idx, now),
+                                HedgeAction::Arm(delay) => {
+                                    let token = self.calendar.schedule_cancellable(
+                                        now + delay,
+                                        FeEv::HedgeFire { rid, fn_idx },
+                                    );
+                                    self.hedges.get_mut(&rid).expect("just inserted").fire_token =
+                                        Some(token);
+                                }
+                            }
+                        }
+                    } else {
+                        // Every site is dark: shed at the front door.
+                        self.agg[fn_idx as usize].lost += 1;
+                        self.lost_total += 1;
+                    }
+                    self.schedule_next_arrival(fn_idx, now);
+                }
+                FeEv::DeliveryDue {
+                    site,
+                    rid,
+                    fn_idx,
+                    arrival,
+                } => {
+                    let i = site as usize;
+                    if self.hedges.get(&rid).is_some_and(|g| g.resolved) {
+                        // A hedge clone arriving after its sibling
+                        // already answered (the race resolved while it
+                        // crossed the network): consumed at the door,
+                        // never enters the scheduler.
+                        self.front.sites[i].finished += 1;
+                        self.agg[fn_idx as usize].cancelled += 1;
+                        if let Some(g) = self.hedges.get_mut(&rid) {
+                            g.copies.retain(|&s| s != site);
+                        }
+                        self.settle_loser(rid);
+                    } else if self.front.sites[i].routable() {
+                        let mut shard = shards[i].lock().expect("shard lock");
+                        shard.st.inbox.push_back((
+                            now,
+                            Msg::Deliver {
+                                rid,
+                                fn_idx,
+                                arrival,
+                            },
+                        ));
+                    } else {
+                        // The destination went dark while the request
+                        // was in flight: bounce and migrate.
+                        self.front.note_bounce(i);
+                        self.migrate(shards, i, rid, fn_idx, arrival, now, false);
+                    }
+                }
+                FeEv::Publish { site } => {
+                    let (next, snap) = self.front.publish(shards, site as usize, now);
+                    self.calendar.schedule(next, FeEv::Publish { site });
+                    if let Some((at, snap)) = snap {
+                        self.calendar.schedule(at, FeEv::SnapshotDue { site, snap });
+                    }
+                }
+                FeEv::SnapshotDue { site, snap } => {
+                    if let Some((at, desired)) =
+                        self.front.snapshot_arrive(site as usize, snap, now)
+                    {
+                        self.calendar
+                            .schedule(at, FeEv::DirectiveDue { site, desired });
+                    }
+                }
+                FeEv::DirectiveDue { site, desired } => {
+                    if self.front.directive_lands(site as usize) {
+                        let mut shard = shards[site as usize].lock().expect("shard lock");
+                        shard.st.inbox.push_back((now, Msg::Directive { desired }));
+                    }
+                }
+                FeEv::HedgeFire { rid, fn_idx } => {
+                    let Some(group) = self.hedges.get_mut(&rid).filter(|g| !g.resolved) else {
+                        continue;
+                    };
+                    group.fire_token = None;
+                    let primary = group.copies[0];
+                    if !self.front.hedge_within_budget() {
+                        // Over the waste budget: no clone, no retry —
+                        // the group has nothing to race.
+                        self.hedges.remove(&rid);
+                        continue;
+                    }
+                    self.front.refresh_states(shards, fn_idx, now);
+                    self.dispatch_clones(rid, fn_idx, now);
+                    if self.front.retrying() {
+                        // Retry, not hedge: abandon the original once
+                        // its replacement exists — a late answer from it
+                        // is wasted work, not a win.
+                        if let Some(g) = self.hedges.get_mut(&rid) {
+                            if g.copies.len() > 1 && g.copies[0] == primary {
+                                g.copies.remove(0);
+                                g.lost.push(primary);
+                                g.pending_losers += 1;
+                                let at = now + self.front.sites[primary as usize].meta.latency;
+                                self.calendar
+                                    .schedule(at, FeEv::CancelDue { site: primary, rid });
+                            }
                         }
                     }
+                }
+                FeEv::CancelDue { site, rid } => {
+                    let mut shard = shards[site as usize].lock().expect("shard lock");
+                    shard.st.inbox.push_back((now, Msg::Cancel { rid }));
                 }
             }
         }
@@ -1161,25 +1036,16 @@ where
     chaos.validate().expect("invalid ChaosConfig");
     let Federation {
         sites,
-        metas,
         tallies,
-        router,
-        states,
-        router_cfg,
-        telemetry,
-        reconciler,
-        migration_penalty,
+        front,
         rebuild,
-        unroutable,
-        fn_demands,
-        multidim,
-        hedge,
         ..
     } = federation;
-    let n_sites = metas.len();
-    let lookahead = metas
+    let n_sites = sites.len();
+    let lookahead = front
+        .sites
         .iter()
-        .map(|m| m.latency)
+        .map(|s| s.meta.latency)
         .min()
         .expect("federation has at least one site");
     assert!(
@@ -1199,62 +1065,36 @@ where
     let mut faults = chaos.build_schedule(chaos_seed, n_sites, end);
     faults.sort_by_key(|&(t, _)| t);
 
-    // Disassemble the federation: tallies split into the router-visible
-    // front half and the shard-private half (the telemetry instances
-    // move so `set_router_config` reseeding is preserved).
-    let mut fronts = Vec::with_capacity(n_sites);
-    let mut shards = Vec::with_capacity(n_sites);
-    for (i, ((policy, meta), tally)) in sites.into_iter().zip(metas).zip(tallies).enumerate() {
-        let SiteTally {
-            per_fn,
-            window,
-            predictor,
-            fcache,
-            health,
-            downtime,
-            ..
-        } = tally;
-        fronts.push(FrontSite {
-            meta,
-            routed: 0,
-            finished: 0,
-            up: true,
-            partitioned: false,
-            slowed: false,
-            needs_rebuild: false,
-            restarts: 0,
-            migrated_out: 0,
-            migrated_in: 0,
-            failed: 0,
-            downtime,
-            predictor,
-            fcache,
-            health,
-            wasted: 0,
-            wasted_secs: 0.0,
-        });
-        shards.push(Mutex::new(Shard {
-            policy,
-            st: ShardState {
-                site: i as u32,
-                queue: EventQueue::new(),
-                inbox: VecDeque::new(),
-                live: BTreeMap::new(),
-                stalled: Vec::new(),
-                partitioned: false,
-                in_flight: 0,
-                window,
-                per_fn,
-                chaos_crashes: 0,
-                log: Vec::new(),
-                service_rngs: HashMap::new(),
-                seed: cfg.seed,
-                prefix: cfg.rng_label_prefix.clone(),
-                end,
-                fn_count: functions.len(),
-            },
-        }));
-    }
+    // The front end moves to the main thread whole; each site's
+    // scheduler and the site-private half of its tally become a shard.
+    let shards: Vec<Mutex<Shard<P>>> = sites
+        .into_iter()
+        .zip(tallies)
+        .enumerate()
+        .map(|(i, (policy, tally))| {
+            Mutex::new(Shard {
+                policy,
+                st: ShardState {
+                    site: i as u32,
+                    queue: EventQueue::new(),
+                    inbox: VecDeque::new(),
+                    live: BTreeMap::new(),
+                    stalled: Vec::new(),
+                    partitioned: false,
+                    in_flight: 0,
+                    window: tally.window,
+                    per_fn: tally.per_fn,
+                    chaos_crashes: 0,
+                    log: Vec::new(),
+                    service_rngs: HashMap::new(),
+                    seed: cfg.seed,
+                    prefix: cfg.rng_label_prefix.clone(),
+                    end,
+                    fn_count: functions.len(),
+                },
+            })
+        })
+        .collect();
 
     // Aggregate statistics + arrival machinery, mirroring EngineCtx.
     let new_stats = if cfg.stream_stats {
@@ -1285,36 +1125,25 @@ where
             SimRng::from_seed_label(cfg.seed, &format!("{}arrival:{i}", cfg.rng_label_prefix)),
         ));
     }
-    let mut fe = Frontend {
+    let mut fe = Coordinator {
         calendar: EventQueue::new(),
-        fronts,
-        router,
-        states,
-        router_cfg,
-        telemetry,
-        reconciler,
-        migration_penalty,
+        front,
         rebuild,
         procs,
         agg,
-        unroutable,
         arrivals_total: 0,
-        completed_total: 0,
         timeouts_total: 0,
         lost_total: 0,
         next_rid: 0,
         end,
-        hedge,
         hedges: BTreeMap::new(),
-        fn_demands,
-        multidim,
     };
     for i in 0..fe.procs.len() as u32 {
         fe.schedule_next_arrival(i, SimTime::ZERO);
     }
-    if fe.telemetry.enabled() {
+    if fe.front.telemetry.enabled() {
         for i in 0..n_sites {
-            let at = fe.telemetry.next_publish(i);
+            let at = fe.front.telemetry.next_publish(i);
             fe.calendar.schedule(at, FeEv::Publish { site: i as u32 });
         }
     }
@@ -1335,7 +1164,7 @@ where
     let done_barrier = Barrier::new(threads + 1);
     // (horizon, stop)
     let command = Mutex::new((SimTime::ZERO, false));
-    let shards_ref = &shards;
+    let shards_ref = shards.as_slice();
     std::thread::scope(|scope| {
         for w in 0..threads {
             let start = &start_barrier;
@@ -1394,250 +1223,7 @@ where
             horizon = horizon.min(SimTime(hard_end.0 + 1));
 
             // Front-end phase: arrivals and due deliveries in [T, H).
-            while fe.calendar.peek_time().is_some_and(|t| t < horizon) {
-                let (now, ev) = fe.calendar.pop().expect("checked");
-                match ev {
-                    FeEv::Arrival(fn_idx) => {
-                        let rid = fe.next_rid;
-                        fe.next_rid += 1;
-                        fe.arrivals_total += 1;
-                        fe.agg[fn_idx as usize].arrivals += 1;
-                        if !fe.fronts.iter().any(FrontSite::routable) {
-                            // Every site is dark: shed at the front door.
-                            fe.unroutable += 1;
-                            fe.agg[fn_idx as usize].lost += 1;
-                            fe.lost_total += 1;
-                        } else {
-                            let chosen = fe.pick_site(shards_ref, fn_idx, now);
-                            fe.fronts[chosen].routed += 1;
-                            fe.fronts[chosen].predictor.on_arrival(now.as_secs_f64());
-                            let latency = fe.fronts[chosen].meta.latency;
-                            fe.calendar.schedule(
-                                now + latency,
-                                FeEv::DeliveryDue {
-                                    site: chosen as u32,
-                                    rid,
-                                    fn_idx,
-                                    arrival: now,
-                                },
-                            );
-                            if let Some(hcfg) = fe.hedge {
-                                fe.hedges.insert(
-                                    rid,
-                                    FeHedge {
-                                        arrival: now,
-                                        copies: vec![chosen as u32],
-                                        fire_token: None,
-                                        resolved: false,
-                                        pending_losers: 0,
-                                        lost: Vec::new(),
-                                    },
-                                );
-                                if hcfg.retry_after_ms > 0.0 {
-                                    // Speculative retry: arm the
-                                    // deadline instead of the trigger.
-                                    let at =
-                                        now + SimDuration::from_secs_f64(hcfg.retry_after_ms / 1e3);
-                                    let token = fe
-                                        .calendar
-                                        .schedule_cancellable(at, FeEv::HedgeFire { rid, fn_idx });
-                                    fe.hedges.get_mut(&rid).expect("just inserted").fire_token =
-                                        Some(token);
-                                } else {
-                                    match hcfg.trigger {
-                                        HedgeTrigger::Immediate => {
-                                            // States are fresh from pick_site.
-                                            if fe.hedge_within_budget() {
-                                                fe.dispatch_clones(rid, fn_idx, now);
-                                            } else {
-                                                fe.hedges.remove(&rid);
-                                            }
-                                        }
-                                        HedgeTrigger::PredictedP95OverSlo => {
-                                            let pct = fe.router_cfg.percentile;
-                                            let cold = fe.router_cfg.cold_start_penalty_ms / 1e3;
-                                            if predicted_score(&fe.states[chosen], pct, cold)
-                                                > fe.router_cfg.slo_ms / 1e3
-                                                && fe.hedge_within_budget()
-                                            {
-                                                fe.dispatch_clones(rid, fn_idx, now);
-                                            } else {
-                                                fe.hedges.remove(&rid);
-                                            }
-                                        }
-                                        HedgeTrigger::DeferredMs(ms) => {
-                                            let at = now + SimDuration::from_secs_f64(ms / 1e3);
-                                            let token = fe.calendar.schedule_cancellable(
-                                                at,
-                                                FeEv::HedgeFire { rid, fn_idx },
-                                            );
-                                            fe.hedges
-                                                .get_mut(&rid)
-                                                .expect("just inserted")
-                                                .fire_token = Some(token);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        fe.schedule_next_arrival(fn_idx, now);
-                    }
-                    FeEv::DeliveryDue {
-                        site,
-                        rid,
-                        fn_idx,
-                        arrival,
-                    } => {
-                        if fe.hedge.is_some() && fe.hedges.get(&rid).is_some_and(|g| g.resolved) {
-                            // A hedge clone arriving after its sibling
-                            // already answered (the race resolved while
-                            // it crossed the network): consumed at the
-                            // door, never enters the scheduler.
-                            fe.fronts[site as usize].finished += 1;
-                            fe.agg[fn_idx as usize].cancelled += 1;
-                            if let Some(g) = fe.hedges.get_mut(&rid) {
-                                g.copies.retain(|&s| s != site);
-                                g.pending_losers = g.pending_losers.saturating_sub(1);
-                                if g.pending_losers == 0 {
-                                    fe.hedges.remove(&rid);
-                                }
-                            }
-                        } else if fe.fronts[site as usize].routable() {
-                            let mut shard = shards_ref[site as usize].lock().expect("shard lock");
-                            shard.st.inbox.push_back((
-                                now,
-                                Msg::Deliver {
-                                    rid,
-                                    fn_idx,
-                                    arrival,
-                                },
-                            ));
-                        } else {
-                            // The destination went dark while the request
-                            // was in flight: bounce and migrate. Under
-                            // delayed telemetry the bounce doubles as
-                            // passive failure detection (mirrors the
-                            // sequential deliver()).
-                            if fe.telemetry.enabled() {
-                                fe.telemetry.mark_down(site as usize);
-                            }
-                            fe.migrate(shards_ref, site as usize, rid, fn_idx, arrival, now, false);
-                        }
-                    }
-                    FeEv::Publish { site } => {
-                        let i = site as usize;
-                        // Re-arm first: one jitter draw per grid slot,
-                        // whatever the site's fate, so the schedule is
-                        // identical across fault histories and thread
-                        // counts (and matches the sequential driver).
-                        let next = fe.telemetry.next_publish(i);
-                        fe.calendar.schedule(next, FeEv::Publish { site });
-                        // Drawn before the fate checks — stream position
-                        // invariant across fault histories, like the
-                        // jitter draw above.
-                        let lost_in_transit = fe.telemetry.publish_lost(i);
-                        let skip = lost_in_transit
-                            || !fe.fronts[i].up
-                            || (fe.fronts[i].partitioned && fe.telemetry.cfg.loss_under_partition);
-                        if !skip {
-                            let t = now.as_secs_f64();
-                            // Census under an uncontended lock: every
-                            // shard is parked at the window start, so the
-                            // snapshot is barrier-stale but deterministic
-                            // for every thread count (same as the oracle
-                            // pick_site census).
-                            let shard = shards_ref[i].lock().expect("shard lock");
-                            let warm: Vec<u64> = (0..shard.st.per_fn.len())
-                                .map(|f| shard.policy.warm_containers(f as u32))
-                                .collect();
-                            let resources = if fe.multidim {
-                                shard.policy.resource_snapshot()
-                            } else {
-                                Default::default()
-                            };
-                            drop(shard);
-                            let fleet: u64 = warm.iter().sum();
-                            let front = &mut fe.fronts[i];
-                            let servers = if fleet > 0 {
-                                fleet.min(u64::from(u32::MAX)) as u32
-                            } else {
-                                front.meta.capacity_hint.round().max(1.0) as u32
-                            };
-                            front.health.observe(t, front.slowed || !front.routable());
-                            let snap = TelemetrySnapshot {
-                                published_at: now,
-                                forecast: front.predictor.forecast(t, servers),
-                                flakiness: front.health.value(),
-                                warm,
-                                resources,
-                            };
-                            let at = now + front.meta.latency;
-                            fe.calendar.schedule(at, FeEv::SnapshotDue { site, snap });
-                        }
-                    }
-                    FeEv::SnapshotDue { site, snap } => {
-                        let i = site as usize;
-                        let lost =
-                            fe.fronts[i].partitioned && fe.telemetry.cfg.loss_under_partition;
-                        if !lost {
-                            if let Some(rec) = fe.reconciler.as_mut() {
-                                if let Some(desired) = rec.desired_fleet(i, &snap, now) {
-                                    let at = now + fe.fronts[i].meta.latency;
-                                    fe.calendar
-                                        .schedule(at, FeEv::DirectiveDue { site, desired });
-                                }
-                            }
-                            fe.telemetry.ingest(i, snap, now);
-                        }
-                    }
-                    FeEv::DirectiveDue { site, desired } => {
-                        let i = site as usize;
-                        let front = &fe.fronts[i];
-                        if front.up && !(front.partitioned && fe.telemetry.cfg.loss_under_partition)
-                        {
-                            let mut shard = shards_ref[i].lock().expect("shard lock");
-                            shard.st.inbox.push_back((now, Msg::Directive { desired }));
-                        }
-                    }
-                    FeEv::HedgeFire { rid, fn_idx } => {
-                        if fe.hedges.get(&rid).is_some_and(|g| !g.resolved) {
-                            fe.hedges.get_mut(&rid).expect("checked").fire_token = None;
-                            let retry = fe.hedge.is_some_and(|cfg| cfg.retry_after_ms > 0.0);
-                            if !fe.hedge_within_budget() {
-                                // Over the waste budget: no clone, no
-                                // retry — the group has nothing to race.
-                                fe.hedges.remove(&rid);
-                            } else {
-                                let primary = fe.hedges[&rid].copies[0];
-                                fe.refresh_states(shards_ref, fn_idx, now);
-                                fe.dispatch_clones(rid, fn_idx, now);
-                                if retry {
-                                    // Retry, not hedge: abandon the
-                                    // original once its replacement
-                                    // exists — a late answer from it is
-                                    // wasted work, not a win.
-                                    if let Some(g) = fe.hedges.get_mut(&rid) {
-                                        if g.copies.len() > 1 && g.copies[0] == primary {
-                                            g.copies.remove(0);
-                                            g.lost.push(primary);
-                                            g.pending_losers += 1;
-                                            let at = now + fe.fronts[primary as usize].meta.latency;
-                                            fe.calendar.schedule(
-                                                at,
-                                                FeEv::CancelDue { site: primary, rid },
-                                            );
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    FeEv::CancelDue { site, rid } => {
-                        let mut shard = shards_ref[site as usize].lock().expect("shard lock");
-                        shard.st.inbox.push_back((now, Msg::Cancel { rid }));
-                    }
-                }
-            }
+            fe.run_front_phase(shards_ref, horizon);
 
             // Worker phase.
             *command.lock().expect("command lock") = (horizon, false);
@@ -1655,46 +1241,20 @@ where
     // Assemble the report exactly as the sequential finish() does.
     let outstanding = fe
         .arrivals_total
-        .saturating_sub(fe.completed_total + fe.timeouts_total + fe.lost_total);
-    let per_site = shards
-        .into_iter()
-        .zip(fe.fronts)
-        .map(|(shard, front)| {
-            let shard = shard.into_inner().expect("shard lock");
-            let utilization = fe
-                .multidim
-                .then(|| shard.policy.resource_snapshot().utilization());
-            let site_outcome = EngineOutcome {
-                per_fn: shard.st.per_fn,
-                outstanding: shard.st.in_flight,
-                duration_secs,
-            };
-            SiteReport {
-                name: front.meta.name,
-                latency_secs: front.meta.latency.as_secs_f64(),
-                routed: front.routed,
-                migrated: front.migrated_out,
-                migrated_in: front.migrated_in,
-                failed: front.failed,
-                chaos_crashes: shard.st.chaos_crashes,
-                downtime_secs: front.downtime.total_until(end),
-                flakiness: front.health.value(),
-                wasted_work: front.wasted,
-                wasted_secs: front.wasted_secs,
-                utilization,
-                report: shard.policy.finish(site_outcome),
-            }
-        })
-        .collect::<Vec<_>>();
-    let wasted_work = per_site.iter().map(|s| s.wasted_work).sum();
-    FederatedReport {
-        router: fe.router.name().to_owned(),
-        per_site,
-        aggregate_per_fn: fe.agg,
-        unroutable: fe.unroutable,
-        wasted_work,
+        .saturating_sub(fe.front.completed + fe.timeouts_total + fe.lost_total);
+    let sites = shards.into_iter().map(|shard| {
+        let shard = shard.into_inner().expect("shard lock");
+        let site_outcome = EngineOutcome {
+            per_fn: shard.st.per_fn,
+            outstanding: shard.st.in_flight,
+            duration_secs,
+        };
+        (shard.policy, site_outcome, shard.st.chaos_crashes)
+    });
+    let aggregate = EngineOutcome {
+        per_fn: fe.agg,
         outstanding,
-        duration: duration_secs,
-        threads,
-    }
+        duration_secs,
+    };
+    fe.front.into_report(sites, aggregate, threads)
 }
