@@ -747,9 +747,10 @@ impl<P: ContainerChaos> Federation<P> {
     /// Re-seed the per-site telemetry (λ̂/μ̂ smoothing, flakiness EWMA)
     /// from a scenario's `router_config` block. Call before the run
     /// starts — the trackers are rebuilt empty, and every telemetry
-    /// value already folded into the router's scratch [`SiteState`](crate::router::SiteState)s
-    /// (forecast, flakiness, warm census) is cleared with them, so the
-    /// first post-swap decision can never route on mixed-config scores.
+    /// value already folded into the router's scratch
+    /// [`SiteState`](crate::router::SiteState)s (forecast, flakiness,
+    /// warm census) is cleared with them, so the first post-swap
+    /// decision can never route on mixed-config scores.
     pub fn set_router_config(&mut self, cfg: &RouterConfig) -> &mut Self {
         self.front.set_router_config(cfg);
         self
