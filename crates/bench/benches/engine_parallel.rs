@@ -19,12 +19,7 @@
 //! an oversubscribed core measures the scheduler, not the executor.
 
 use lass::replay::{run_replay, ReplayConfig, ReplaySummary};
-
-fn cores() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
+use lass_bench::{cores, merge_bench_rows};
 
 /// One parallel replay: `sites` sites, uniform 5 ms inbound hop (the
 /// conservative lookahead), load scaled with the site count so every
@@ -44,34 +39,6 @@ fn replay(sites: usize, threads: usize, minutes: usize) -> ReplaySummary {
     assert!(summary.conserved, "request conservation violated");
     assert_eq!(summary.threads, threads, "parallel run fell back");
     summary
-}
-
-/// Load `BENCH_engine.json` and keep every row this harness does not
-/// own, so the two engine benches can regenerate independently.
-fn foreign_rows(path: &str) -> Vec<String> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let Ok(rows) = serde_json::parse(&text) else {
-        return Vec::new();
-    };
-    let Some(rows) = rows.as_array() else {
-        return Vec::new();
-    };
-    rows.iter()
-        .filter(|row| {
-            !row.as_object()
-                .and_then(|o| o.get("bench"))
-                .and_then(|b| b.as_str())
-                .is_some_and(|name| name.starts_with("engine_parallel/"))
-        })
-        .map(|row| {
-            format!(
-                "    {}",
-                serde_json::to_string(row).expect("row serializes")
-            )
-        })
-        .collect()
 }
 
 const SMOKE_SPEEDUP_FLOOR: f64 = 1.5;
@@ -127,7 +94,7 @@ fn main() {
                 summary.sim_req_per_wall_min / 1e6
             );
             rows.push(format!(
-                "    {{ \"bench\": \"engine_parallel/{sites}sites/{threads}thr\", \
+                "{{ \"bench\": \"engine_parallel/{sites}sites/{threads}thr\", \
                  \"sim_req_per_wall_min\": {:.0}, \"arrivals\": {}, \"wall_secs\": {:.3}, \
                  \"speedup_vs_1thr\": {speedup:.2}, \"cores\": {cores} }}",
                 summary.sim_req_per_wall_min, summary.arrivals, summary.wall_secs,
@@ -136,9 +103,6 @@ fn main() {
     }
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
-    let mut all = foreign_rows(path);
-    all.extend(rows);
-    let json = format!("[\n{}\n]\n", all.join(",\n"));
-    std::fs::write(path, &json).expect("write BENCH_engine.json");
-    println!("(merged BENCH_engine.json: {} rows)", all.len());
+    let n = merge_bench_rows(path, "engine_parallel/", &rows);
+    println!("(merged BENCH_engine.json: {n} rows)");
 }

@@ -4,20 +4,29 @@
 //! statistics) and measure simulated requests processed per wall-clock
 //! minute.
 //!
-//! Besides the criterion output, the run writes `BENCH_engine.json`
-//! (workspace root) with one row per scale, seeding the perf trajectory
-//! for future engine PRs. The acceptance bar for the timer-wheel +
-//! arena + interning + streaming-stats stack is ≥10⁷ simulated
-//! requests per wall-clock minute at the 10⁴-function scale.
+//! Besides the criterion output, the run merges one row per scale into
+//! `BENCH_engine.json` (workspace root), keeping the `engine_parallel`
+//! rows. The acceptance bar for the timer-wheel + arena + interning +
+//! streaming-stats stack is ≥10⁷ simulated requests per wall-clock
+//! minute at the 10⁴-function scale.
 //!
-//! With `ENGINE_BENCH_SMOKE` set, the run instead replays a short burst
-//! at the 10³ scale and **fails** (non-zero exit) if throughput drops
-//! below a deliberately generous floor — the CI tripwire against
-//! re-introducing per-event allocation or O(total-events) calendar
-//! operations on the hot loop.
+//! With `ENGINE_BENCH_SMOKE` set, the run instead runs two CI gates and
+//! **fails** (non-zero exit) if either trips:
+//!
+//! * a short burst at the 10³ scale must clear a deliberately generous
+//!   throughput floor — the tripwire against re-introducing per-event
+//!   allocation or O(total-events) calendar operations on the hot loop;
+//! * the route-refresh cost gate: the same least-loaded replay at 10×
+//!   the servers per site may cost at most [`REFRESH_RATIO_CEILING`]×
+//!   the wall time per arrival. A load-only router reads no forecast,
+//!   so its per-decision cost must not grow with the fleet; a front end
+//!   that runs Erlang-C (O(servers)) for every site on every arrival
+//!   trips it.
 
 use criterion::{BenchmarkId, Criterion, Throughput};
-use lass::replay::{run_replay, ReplayConfig};
+use lass::replay::{run_replay, ReplayConfig, ReplaySummary};
+use lass_bench::{cores, merge_bench_rows};
+use lass_simcore::RouterKind;
 
 /// One replay at `functions` scale; rates scale with the function count
 /// so every scale keeps meaningful per-function traffic.
@@ -42,28 +51,85 @@ fn replay_at(functions: usize, minutes: usize) -> lass::replay::ReplaySummary {
 /// scans), not machine jitter.
 const SMOKE_FLOOR_REQ_PER_MIN: f64 = 20_000.0;
 
+/// Refresh-cost gate ceiling: wall time per arrival at utilization 0.07
+/// (≈340 servers per site) over that at 0.7 (≈35), best of three runs
+/// each. On a 2-core host, a front end running Erlang-C per site per
+/// arrival for a least-loaded router measured 2.65×; one refreshing
+/// only what the router reads measured 1.03×.
+const REFRESH_RATIO_CEILING: f64 = 1.5;
+
+/// Best-of-three wall seconds per arrival of a 2-minute, 4-site
+/// least-loaded replay of 10³ functions at 2,000 req/s, planned for
+/// `utilization`.
+fn refresh_cost(utilization: f64) -> (f64, ReplaySummary) {
+    let cfg = ReplayConfig {
+        functions: 1_000,
+        minutes: 2,
+        seed: 42,
+        total_rps: 2_000.0,
+        sites: 4,
+        router: RouterKind::LeastLoaded,
+        utilization,
+        ..ReplayConfig::default()
+    };
+    let mut best: Option<(f64, ReplaySummary)> = None;
+    for _ in 0..3 {
+        let summary = run_replay(&cfg).expect("replay runs");
+        assert!(summary.conserved, "request conservation violated");
+        let per_arrival = summary.wall_secs / summary.arrivals as f64;
+        if best.as_ref().is_none_or(|(b, _)| per_arrival < *b) {
+            best = Some((per_arrival, summary));
+        }
+    }
+    best.expect("three runs")
+}
+
+fn smoke() {
+    let summary = replay_at(1_000, 5);
+    println!(
+        "smoke engine/1000 fns: {:.0} sim req/wall-min ({} arrivals in {:.2}s)",
+        summary.sim_req_per_wall_min, summary.arrivals, summary.wall_secs
+    );
+    assert!(
+        summary.sim_req_per_wall_min >= SMOKE_FLOOR_REQ_PER_MIN,
+        "engine throughput fell below the {SMOKE_FLOOR_REQ_PER_MIN} req/min smoke floor — \
+         was per-event allocation or a linear calendar scan reintroduced on the hot loop?"
+    );
+
+    let (dense, dense_run) = refresh_cost(0.7);
+    let (sparse, sparse_run) = refresh_cost(0.07);
+    let ratio = sparse / dense;
+    println!(
+        "smoke refresh cost: {:.0} ns/arrival at {} servers/site, {:.0} ns/arrival at {} \
+         servers/site -> {ratio:.2}x",
+        dense * 1e9,
+        dense_run.servers_per_site,
+        sparse * 1e9,
+        sparse_run.servers_per_site
+    );
+    assert!(
+        ratio <= REFRESH_RATIO_CEILING,
+        "a least-loaded replay got {ratio:.2}x slower per arrival with 10x the servers per \
+         site (ceiling {REFRESH_RATIO_CEILING}x) — is the route refresh evaluating columns \
+         the router does not read?"
+    );
+}
+
 fn main() {
     if std::env::var_os("ENGINE_BENCH_SMOKE").is_some() {
-        let summary = replay_at(1_000, 5);
-        println!(
-            "smoke engine/1000 fns: {:.0} sim req/wall-min ({} arrivals in {:.2}s)",
-            summary.sim_req_per_wall_min, summary.arrivals, summary.wall_secs
-        );
-        assert!(
-            summary.sim_req_per_wall_min >= SMOKE_FLOOR_REQ_PER_MIN,
-            "engine throughput fell below the {SMOKE_FLOOR_REQ_PER_MIN} req/min smoke floor — \
-             was per-event allocation or a linear calendar scan reintroduced on the hot loop?"
-        );
+        smoke();
         return;
     }
+    let cores = cores();
     let mut c = Criterion::default();
     let mut rows = Vec::new();
     let mut group = c.benchmark_group("engine_throughput");
     for &(functions, minutes) in &[(1_000usize, 10usize), (10_000, 10), (100_000, 5)] {
         let summary = replay_at(functions, minutes);
         rows.push(format!(
-            "    {{ \"bench\": \"engine/{}fns/{}min\", \"sim_req_per_wall_min\": {:.0}, \
-             \"arrivals\": {}, \"wall_secs\": {:.3}, \"servers_per_site\": {} }}",
+            "{{ \"bench\": \"engine/{}fns/{}min\", \"sim_req_per_wall_min\": {:.0}, \
+             \"arrivals\": {}, \"wall_secs\": {:.3}, \"servers_per_site\": {}, \
+             \"cores\": {cores} }}",
             functions,
             minutes,
             summary.sim_req_per_wall_min,
@@ -85,9 +151,8 @@ fn main() {
         );
     }
     group.finish();
-    let json = format!("[\n{}\n]\n", rows.join(",\n"));
     // Land the table at the workspace root whatever cwd cargo gave us.
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
-    std::fs::write(path, &json).expect("write BENCH_engine.json");
-    println!("(wrote BENCH_engine.json: {} rows)", rows.len());
+    let n = merge_bench_rows(path, "engine/", &rows);
+    println!("(merged BENCH_engine.json: {n} rows)");
 }

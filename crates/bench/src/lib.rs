@@ -96,9 +96,88 @@ pub fn ms(secs: f64) -> String {
     format!("{:.2}", secs * 1e3)
 }
 
+/// Cores available to this process (1 when unknown) — recorded with
+/// every committed bench row, since speed claims depend on it.
+pub fn cores() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
+}
+
+/// Replace the rows a harness owns in the JSON bench table at `path`.
+///
+/// A harness owns the rows whose `bench` name starts with `prefix`.
+/// `rows` (each a JSON object, pre-formatted) take the place of the
+/// first owned row, or go at the end when the table has none; every
+/// other row is kept as it was, so harnesses sharing one table can
+/// regenerate independently. Returns the table's new row count.
+pub fn merge_bench_rows(path: &str, prefix: &str, rows: &[String]) -> usize {
+    let old = std::fs::read_to_string(path)
+        .ok()
+        .and_then(|text| serde_json::parse(&text).ok())
+        .and_then(|v| v.as_array().cloned())
+        .unwrap_or_default();
+    let mut all: Vec<String> = Vec::new();
+    let mut placed = false;
+    for row in &old {
+        let owned = row
+            .as_object()
+            .and_then(|o| o.get("bench"))
+            .and_then(|b| b.as_str())
+            .is_some_and(|name| name.starts_with(prefix));
+        if !owned {
+            all.push(serde_json::to_string(row).expect("row serializes"));
+        } else if !placed {
+            all.extend(rows.iter().cloned());
+            placed = true;
+        }
+    }
+    if !placed {
+        all.extend(rows.iter().cloned());
+    }
+    let body: Vec<String> = all.iter().map(|r| format!("    {}", r.trim())).collect();
+    let json = format!("[\n{}\n]\n", body.join(",\n"));
+    std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    all.len()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn merge_replaces_only_owned_rows_in_place() {
+        let path = std::env::temp_dir().join(format!("bench-merge-{}.json", std::process::id()));
+        let path = path.to_str().expect("utf-8 temp path");
+        std::fs::write(
+            path,
+            r#"[{"bench":"a/1","v":1},{"bench":"b/1","v":2},{"bench":"a/2","v":3}]"#,
+        )
+        .unwrap();
+        let n = merge_bench_rows(path, "a/", &[r#"{ "bench": "a/new", "v": 9 }"#.into()]);
+        assert_eq!(n, 2);
+        let v = serde_json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let names: Vec<&str> = v
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|r| {
+                r.as_object()
+                    .unwrap()
+                    .get("bench")
+                    .unwrap()
+                    .as_str()
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(names, ["a/new", "b/1"]);
+        // A prefix with no rows yet appends.
+        assert_eq!(
+            merge_bench_rows(path, "c/", &[r#"{"bench":"c/1"}"#.into()]),
+            3
+        );
+        std::fs::remove_file(path).unwrap();
+    }
 
     #[test]
     fn pick_honours_quick() {

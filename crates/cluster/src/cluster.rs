@@ -99,6 +99,9 @@ pub struct Cluster {
     /// index is updated at those (rare) points instead of being rebuilt
     /// per request.
     fns: Vec<FnEntry>,
+    /// Warm containers over every function: the sum of the per-function
+    /// `warm` counts, updated at the same two points.
+    warm: u64,
     next_container: u64,
     placement: PlacementPolicy,
 }
@@ -124,6 +127,7 @@ impl Cluster {
             nodes,
             containers: BTreeMap::new(),
             fns: Vec::new(),
+            warm: 0,
             next_container: 0,
             placement,
         }
@@ -143,6 +147,7 @@ impl Cluster {
             nodes,
             containers: BTreeMap::new(),
             fns: Vec::new(),
+            warm: 0,
             next_container: 0,
             placement,
         }
@@ -351,6 +356,7 @@ impl Cluster {
             if let Some(pos) = e.slots.iter().position(|s| s.cid == cid) {
                 if e.slots[pos].warm {
                     e.warm -= 1;
+                    self.warm -= 1;
                 }
                 e.slots.remove(pos);
             }
@@ -429,6 +435,7 @@ impl Cluster {
         slot.idle = true;
         slot.warm = true;
         self.fns[fn_id.0 as usize].warm += 1;
+        self.warm += 1;
         true
     }
 
@@ -508,10 +515,16 @@ impl Cluster {
     /// cold start) and not terminated — the fleet that could serve a
     /// request right now without paying a cold start. The affinity
     /// router's per-site census, answered in O(1) from the maintained
-    /// count (the federation sums this over every function at every
-    /// routing decision).
+    /// count.
     pub fn fn_warm_count(&self, fn_id: FnId) -> u64 {
         self.fns.get(fn_id.0 as usize).map_or(0, |e| e.warm)
+    }
+
+    /// Warm containers over every function — [`Self::fn_warm_count`]
+    /// summed over all functions, answered in O(1) from a running
+    /// total (the site-wide server count behind the router's forecast).
+    pub fn warm_total(&self) -> u64 {
+        self.warm
     }
 
     /// The fastest (highest-CPU) idle schedulable container of a
@@ -628,6 +641,8 @@ impl Cluster {
                 "warm census drift on {fn_id}"
             );
         }
+        let per_fn: u64 = self.fns.iter().map(|e| e.warm).sum();
+        assert_eq!(self.warm_total(), per_fn, "warm total drift");
     }
 }
 

@@ -208,6 +208,12 @@ fn fastest_idle_walk(cluster: &Cluster, f: FnId) -> Option<ContainerId> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
+    /// Capacity accounting — and the O(1) warm total against the
+    /// per-function warm census, which `check_invariants` compares —
+    /// survives random create / boot / serve / resize / terminate
+    /// sequences under every placement policy. Terminations hit
+    /// containers in any state, busy included, exactly like a chaos
+    /// container crash.
     #[test]
     fn accounting_survives_random_operations(
         ops in prop::collection::vec(op_strategy(), 1..120),
@@ -215,6 +221,7 @@ proptest! {
             Just(PlacementPolicy::FirstFit),
             Just(PlacementPolicy::BestFit),
             Just(PlacementPolicy::WorstFit),
+            Just(PlacementPolicy::VectorBestFit),
         ],
     ) {
         let mut cluster = Cluster::homogeneous(3, CpuMilli(4000), MemMib(8192), policy);
@@ -239,6 +246,7 @@ proptest! {
         cluster.check_invariants();
         prop_assert_eq!(cluster.total_cpu_used(), CpuMilli::ZERO);
         prop_assert_eq!(cluster.container_count(), 0);
+        prop_assert_eq!(cluster.warm_total(), 0);
     }
 
     /// Equivalence of the incrementally-maintained weighted dispatch

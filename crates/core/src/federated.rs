@@ -468,6 +468,10 @@ mod tests {
     use super::*;
     use lass_cluster::{Cluster, CpuMilli, MemMib, PlacementPolicy};
     use lass_functions::{micro_benchmark, WorkloadSpec};
+    use lass_simcore::{EngineOutcome, Fault, PolicyCtx, ReqId, SchedulerPolicy, SimTime};
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn edge_cloud() -> Topology {
         let mut t = Topology::new();
@@ -643,5 +647,197 @@ mod tests {
     fn invalid_topology_is_rejected() {
         let sim = FederatedSimulation::new(LassConfig::default(), Topology::new(), 1);
         assert!(sim.run(Some(10.0)).is_err());
+    }
+
+    /// Wraps a site policy and checks, after every step that can
+    /// create, boot, crash or terminate containers, that its O(1) warm
+    /// fleet equals the per-function census summed.
+    struct FleetProbe<P> {
+        inner: P,
+        n_fns: u32,
+        checks: Arc<AtomicUsize>,
+    }
+
+    impl<P: ContainerChaos> FleetProbe<P> {
+        fn check(&self) {
+            let sum: u64 = (0..self.n_fns).map(|f| self.inner.warm_containers(f)).sum();
+            assert_eq!(self.inner.warm_fleet(self.n_fns), sum, "warm fleet drift");
+            self.checks.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    impl<P: ContainerChaos> SchedulerPolicy for FleetProbe<P> {
+        type Event = P::Event;
+        type Report = P::Report;
+
+        fn on_start(&mut self, ctx: &mut impl PolicyCtx<P::Event>) {
+            self.inner.on_start(ctx);
+            self.check();
+        }
+
+        fn on_arrival(
+            &mut self,
+            ctx: &mut impl PolicyCtx<P::Event>,
+            rid: ReqId,
+            fn_idx: u32,
+            now: SimTime,
+        ) {
+            self.inner.on_arrival(ctx, rid, fn_idx, now);
+            self.check();
+        }
+
+        fn on_event(&mut self, ctx: &mut impl PolicyCtx<P::Event>, ev: P::Event, now: SimTime) {
+            self.inner.on_event(ctx, ev, now);
+            self.check();
+        }
+
+        fn finish(self, outcome: EngineOutcome) -> P::Report {
+            self.inner.finish(outcome)
+        }
+    }
+
+    impl<P: ContainerChaos> ContainerChaos for FleetProbe<P> {
+        fn crash_containers(
+            &mut self,
+            ctx: &mut impl PolicyCtx<P::Event>,
+            count: u32,
+            now: SimTime,
+        ) -> u32 {
+            let crashed = self.inner.crash_containers(ctx, count, now);
+            self.check();
+            crashed
+        }
+
+        fn warm_containers(&self, fn_idx: u32) -> u64 {
+            self.inner.warm_containers(fn_idx)
+        }
+
+        fn warm_fleet(&self, n_fns: u32) -> u64 {
+            self.inner.warm_fleet(n_fns)
+        }
+    }
+
+    /// Two functions on the edge/cloud pair behind the slo-aware router
+    /// (which demands the forecast, so the front end reads the fleet on
+    /// every decision), under a crash/recovery of the edge plus random
+    /// container bursts. Returns how many checks ran.
+    fn probe_fleet<P, F>(seed: u64, bursts: &[(f64, u32, u32)], mut build: F) -> usize
+    where
+        P: ContainerChaos,
+        F: FnMut(Cluster, &[FunctionSetup], u32) -> P + Send + 'static,
+    {
+        let setups: Vec<FunctionSetup> = [(0.1, 25.0), (0.3, 8.0)]
+            .iter()
+            .map(|&(service, rate)| {
+                let mut setup = FunctionSetup::new(
+                    micro_benchmark(service),
+                    0.3,
+                    WorkloadSpec::Static {
+                        rate,
+                        duration: 60.0,
+                    },
+                );
+                setup.initial_containers = 1;
+                setup
+            })
+            .collect();
+        let clusters: Vec<Cluster> = edge_cloud()
+            .into_sites()
+            .into_iter()
+            .map(|s| s.cluster)
+            .collect();
+        let checks = Arc::new(AtomicUsize::new(0));
+        let n_fns = setups.len() as u32;
+        let mut probe = {
+            let checks = Arc::clone(&checks);
+            let setups = setups.clone();
+            move |i: usize, restart: u32| FleetProbe {
+                inner: build(clusters[i].clone(), &setups, restart),
+                n_fns,
+                checks: Arc::clone(&checks),
+            }
+        };
+        let metas = ["edge", "cloud"]
+            .iter()
+            .zip([0.002, 0.040])
+            .map(|(name, latency)| SiteMeta {
+                name: (*name).into(),
+                latency: SimDuration::from_secs_f64(latency),
+                capacity_hint: 4.0,
+            })
+            .collect::<Vec<_>>();
+        let sites = metas
+            .into_iter()
+            .enumerate()
+            .map(|(i, m)| (m, probe(i, 0)))
+            .collect();
+        let functions: Vec<FedFunction> = setups
+            .iter()
+            .map(|s| FedFunction {
+                name: s.spec.name.clone(),
+                slo_deadline: s.slo_deadline,
+                demand: [0.0; 3],
+            })
+            .collect();
+        let fed = Federation::new(sites, RouterKind::SloAware.build(), &functions)
+            .with_rebuild(Box::new(probe));
+        let mut events = vec![
+            (20.0, Fault::SiteDown { site: 0 }),
+            (35.0, Fault::SiteUp { site: 0 }),
+        ];
+        events.extend(
+            bursts
+                .iter()
+                .map(|&(at, site, count)| (at, Fault::ContainerBurst { site, count })),
+        );
+        let chaos = ChaosConfig {
+            events,
+            ..ChaosConfig::default()
+        };
+        let entries = setups
+            .iter()
+            .map(|s| FunctionEntry {
+                name: s.spec.name.clone(),
+                slo_deadline: s.slo_deadline,
+                process: s.workload.build(),
+            })
+            .collect();
+        let cfg = EngineConfig {
+            seed,
+            duration_secs: 60.0,
+            ..EngineConfig::default()
+        };
+        run_simulation(cfg, entries, ChaosPolicy::new(fed, chaos, seed));
+        checks.load(Ordering::Relaxed)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// The LaSS, static-rr and knative sites answer the site-wide
+        /// warm fleet from the cluster's running total. Through
+        /// container creation, boot, scale-down, burst crashes and a
+        /// crash-rebuild of a whole site, that total equals the
+        /// per-function census summed — the default `warm_fleet`, which
+        /// the replay's fleet-less `CapacityPolicy` keeps.
+        #[test]
+        fn warm_fleet_matches_census_through_lifecycles(
+            seed in 0u64..1_000,
+            bursts in prop::collection::vec((1.0f64..58.0, 0u32..2, 1u32..4), 0..6),
+        ) {
+            let checks = probe_fleet(seed, &bursts, move |cluster, setups, restart| {
+                let label = if restart == 0 { String::new() } else { format!("r{restart}:") };
+                LassPolicy::new(LassConfig::default(), cluster, seed, setups, &label)
+            });
+            prop_assert!(checks > 100, "lass: only {checks} checks");
+            let checks = probe_fleet(seed, &bursts, |cluster, setups, _| {
+                StaticRrPolicy::new(cluster, setups.to_vec())
+            });
+            prop_assert!(checks > 100, "static-rr: only {checks} checks");
+            let checks = probe_fleet(seed, &bursts, |cluster, setups, _| {
+                KnativePolicy::new(LassConfig::default(), cluster, setups.to_vec())
+            });
+            prop_assert!(checks > 100, "knative: only {checks} checks");
+        }
     }
 }

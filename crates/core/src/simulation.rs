@@ -614,6 +614,12 @@ impl lass_simcore::ContainerChaos for LassPolicy {
         self.cluster.fn_warm_count(FnId(fn_idx))
     }
 
+    /// The cluster's running warm total: every container it holds
+    /// belongs to one of the federation's functions.
+    fn warm_fleet(&self, _n_fns: u32) -> u64 {
+        self.cluster.warm_total()
+    }
+
     /// Brown-out absorption: scale every subsequent service draw by
     /// `1/factor`. Factor 1.0 restores nominal speed exactly (the
     /// division by 1.0 is an IEEE identity, so recovered runs replay

@@ -251,6 +251,12 @@ impl lass_simcore::ContainerChaos for StaticRrPolicy {
     fn warm_containers(&self, fn_idx: u32) -> u64 {
         self.cluster.fn_warm_count(FnId(fn_idx))
     }
+
+    /// The cluster's running warm total: every container it holds
+    /// belongs to one of the federation's functions.
+    fn warm_fleet(&self, _n_fns: u32) -> u64 {
+        self.cluster.warm_total()
+    }
 }
 
 impl SchedulerPolicy for StaticRrPolicy {

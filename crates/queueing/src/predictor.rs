@@ -340,7 +340,8 @@ impl From<WaitForecast> for EvaluatedForecast {
 /// Per-site forecast cache keyed by `(λ̂ epoch, μ̂ epoch, c)`.
 ///
 /// The federation refreshes every site's forecast at every routing
-/// decision, but the underlying estimates only move when the predictor
+/// decision that reads forecasts (a model-driven router, or hedging),
+/// but the underlying estimates only move when the predictor
 /// closes an arrival tick, accepts a service observation, or the site's
 /// server count changes. The cache compares the predictor's
 /// [`epochs`](WaitPredictor::epochs) (after advancing it to `now`) and

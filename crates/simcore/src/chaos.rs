@@ -314,6 +314,15 @@ pub trait ContainerChaos: SchedulerPolicy {
         0
     }
 
+    /// The site-wide warm fleet: [`warm_containers`](Self::warm_containers)
+    /// summed over functions `0..n_fns` — the server count behind the
+    /// site's forecast. The default sums, which is O(`n_fns`) per call;
+    /// schedulers that keep a running total return it in O(1).
+    /// Observe-only, like the per-function census.
+    fn warm_fleet(&self, n_fns: u32) -> u64 {
+        (0..n_fns).map(|f| self.warm_containers(f)).sum()
+    }
+
     /// Apply a reconciler directive: resize toward `desired` total warm
     /// containers. This is the receiving end of the
     /// [`ReconcilerSeam`](crate::telemetry::ReconcilerSeam) round-trip —

@@ -19,7 +19,9 @@ use crate::federation::{
     FedFunction, FederatedReport, HedgeConfig, HedgeTrigger, SiteMeta, SiteReport,
 };
 use crate::metrics::DowntimeClock;
-use crate::router::{predicted_score, ResourceSnapshot, RouterConfig, RouterPolicy, SiteState};
+use crate::router::{
+    predicted_score, ResourceSnapshot, RouterConfig, RouterPolicy, SiteColumns, SiteState,
+};
 use crate::telemetry::{ReconcilerSeam, TelemetryConfig, TelemetryRuntime, TelemetrySnapshot};
 use crate::time::{SimDuration, SimTime};
 use lass_queueing::{EvaluatedForecast, ForecastCache, HealthEwma, WaitPredictor};
@@ -79,15 +81,18 @@ pub(crate) struct FrontSite {
     /// Total time the site was unroutable (crashed or partitioned).
     pub(crate) downtime: DowntimeClock,
     /// Online λ̂/μ̂ telemetry feeding the model-driven routers'
-    /// forecasts. Observe-only: maintained for every run, read only by
-    /// routers that care.
+    /// forecasts, hedging and telemetry snapshots. Fed every routed
+    /// arrival and every completion whatever the router; read only when
+    /// someone needs a forecast.
     pub(crate) predictor: WaitPredictor,
     /// Memoized M/M/c evaluation of the predictor's forecast, keyed by
-    /// `(λ̂ epoch, μ̂ epoch, server count)`: the refresh before each
-    /// routing decision re-evaluates the model only when the predictor
-    /// actually advanced a tick (or absorbed a completion) or the
-    /// site's warm fleet changed — otherwise it is a key compare and a
-    /// copy, allocation-free.
+    /// `(λ̂ epoch, μ̂ epoch, server count)`. Consulted only when the
+    /// forecast column is demanded (a model-driven router, or hedging);
+    /// it then re-evaluates the model only when the predictor advanced
+    /// a tick (or absorbed a completion) or the site's warm fleet
+    /// changed — otherwise it is a key compare and a copy,
+    /// allocation-free. Under load μ̂ moves on almost every completion,
+    /// so most demanded refreshes do evaluate.
     pub(crate) fcache: ForecastCache,
     /// Downtime EWMA behind the failure-aware router's flakiness score.
     pub(crate) health: HealthEwma,
@@ -299,9 +304,25 @@ impl FrontEnd {
             .expect("caller checked a routable site exists")
     }
 
-    /// Refresh the router's scratch view: the load picture plus the
-    /// model telemetry (λ̂/μ̂ forecast, flakiness, warm census for the
-    /// function being routed). Pure bookkeeping — no randomness, no
+    /// The costly view columns someone reads this run: the router's
+    /// declared columns, plus the forecast and warm census whenever
+    /// hedging is on ([`Self::clone_target`] and the p95 trigger score
+    /// sites with them).
+    fn demanded_columns(&self) -> SiteColumns {
+        let hedge = if self.hedge.is_some() {
+            SiteColumns::FORECAST | SiteColumns::WARM
+        } else {
+            SiteColumns::NONE
+        };
+        self.router.columns() | hedge
+    }
+
+    /// Refresh the router's scratch view: the load picture (in-flight
+    /// commitment, routability, flakiness) on every call, plus only the
+    /// demanded telemetry columns ([`Self::demanded_columns`]): the
+    /// λ̂/μ̂ forecast, the warm census for the function being routed,
+    /// and the resource picture with its fit count. Undemanded columns
+    /// keep their blank values. Pure bookkeeping — no randomness, no
     /// events — so routers that ignore the telemetry replay their
     /// pre-telemetry decisions exactly.
     ///
@@ -317,8 +338,12 @@ impl FrontEnd {
             self.refresh_states_stale(fn_idx, now);
             return;
         }
+        let columns = self.demanded_columns();
+        let want_forecast = columns.contains(SiteColumns::FORECAST);
+        let want_warm = columns.contains(SiteColumns::WARM);
+        let want_resources = columns.contains(SiteColumns::RESOURCES);
         let t = now.as_secs_f64();
-        let n_fns = self.fn_demands.len();
+        let n_fns = self.fn_demands.len() as u32;
         let demand = self
             .fn_demands
             .get(fn_idx as usize)
@@ -329,19 +354,33 @@ impl FrontEnd {
             state.up = front.routable();
             front.health.observe(t, front.degraded());
             state.flakiness = front.health.value();
+            if columns.is_empty() {
+                // Load-only router: no census (on the parallel executor,
+                // no shard lock) and no model evaluation.
+                continue;
+            }
             let (warm, fleet, resources) = sites.with_site(i, |p| {
-                let fleet: u64 = (0..n_fns).map(|f| p.warm_containers(f as u32)).sum();
-                (p.warm_containers(fn_idx), fleet, p.resource_snapshot())
+                (
+                    want_warm.then(|| p.warm_containers(fn_idx)),
+                    want_forecast.then(|| p.warm_fleet(n_fns)),
+                    want_resources.then(|| p.resource_snapshot()),
+                )
             });
-            state.warm = warm;
-            state.resources = resources;
-            state.fits = resources.fit_count(demand);
-            // The cache re-evaluates the M/M/c model only when the
-            // predictor advanced a tick / absorbed a completion or the
-            // server count changed — the steady-state refresh is a key
-            // compare plus a copy.
-            let servers = model_servers(fleet, front.meta.capacity_hint);
-            state.forecast = front.fcache.refresh(&mut front.predictor, t, servers);
+            if let Some(warm) = warm {
+                state.warm = warm;
+            }
+            if let Some(resources) = resources {
+                state.resources = resources;
+                state.fits = resources.fit_count(demand);
+            }
+            if let Some(fleet) = fleet {
+                // The cache re-evaluates the M/M/c model only when the
+                // predictor advanced a tick / absorbed a completion or
+                // the server count changed — otherwise the refresh is a
+                // key compare plus a copy.
+                let servers = model_servers(fleet, front.meta.capacity_hint);
+                state.forecast = front.fcache.refresh(&mut front.predictor, t, servers);
+            }
         }
     }
 

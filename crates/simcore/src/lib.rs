@@ -66,8 +66,8 @@ pub use reqtable::RequestTable;
 pub use rng::SimRng;
 pub use router::{
     AffinityRouter, FailureAwareRouter, LatencyAwareRouter, LeastLoadedRouter, PlannerRouter,
-    ResourceSnapshot, RoundRobinRouter, RouterConfig, RouterKind, RouterPolicy, SiteState,
-    SloAwareRouter,
+    ResourceSnapshot, RoundRobinRouter, RouterConfig, RouterKind, RouterPolicy, SiteColumns,
+    SiteState, SloAwareRouter,
 };
 pub use telemetry::{ReconcilerSeam, TelemetryConfig, TelemetrySnapshot, UtilizationReconciler};
 pub use time::{SimDuration, SimTime, NANOS_PER_SEC};

@@ -20,7 +20,7 @@
 //!   the paper's future-work edge↔cloud offload pattern.
 //!
 //! **Model-driven routers** additionally consume the per-site telemetry
-//! the federation maintains in [`SiteState`] — a
+//! the federation computes into [`SiteState`] on demand — a
 //! [`WaitForecast`](lass_queueing::WaitForecast) built from EWMA'd
 //! arrival/service rates (the same M/M/c mathematics the per-site
 //! scheduler plans with), a warm-container census for the routed
@@ -36,6 +36,11 @@
 //! * [`FailureAwareRouter`] — avoid recently-failed (browned-out) sites
 //!   by their downtime EWMA, re-admitting them through a deterministic
 //!   credit trickle as their health score decays.
+//!
+//! Each router declares the telemetry columns it reads
+//! ([`RouterPolicy::columns`]), and the federation refreshes only those
+//! before a decision: the load/latency routers and the failure-aware
+//! router pay for no census and no M/M/c evaluation at all.
 //!
 //! All routers are deterministic: decisions depend only on the event
 //! history, never on wall-clock time or ambient randomness (the
@@ -128,24 +133,35 @@ pub struct SiteState {
     /// telemetry (zero-wait before any telemetry accumulates), with its
     /// M/M/c model pre-evaluated through the federation's per-site
     /// [`ForecastCache`](lass_queueing::ForecastCache) so the routers'
-    /// waiting-time queries are O(1) and allocation-free. Old routers
-    /// ignore it; the federation maintains it either way.
+    /// waiting-time queries are O(1) and allocation-free.
+    ///
+    /// Computed on demand ([`SiteColumns::FORECAST`]), like `warm`,
+    /// `resources` and `fits`: with fresh telemetry the federation
+    /// fills these columns only when the router declares them in
+    /// [`RouterPolicy::columns`] (or hedging reads them); otherwise
+    /// they hold their blank values — no model, zero warm, unknown
+    /// resources, infinite fits. The load picture (`in_flight`, `up`,
+    /// `flakiness`) is refreshed on every decision. Under delayed
+    /// telemetry every column comes from the last arrived snapshot.
     pub forecast: EvaluatedForecast,
     /// EWMA'd recent downtime fraction in `[0, 1]` fed by the chaos
     /// layer: 0 for a site that has been healthy for a while, high for
     /// one that recently crashed or partitioned.
     pub flakiness: f64,
     /// Warm (booted, non-terminated) containers the site holds for the
-    /// function being routed — the affinity census.
+    /// function being routed — the affinity census. On demand
+    /// ([`SiteColumns::WARM`]); 0 when not demanded.
     pub warm: u64,
     /// The site's per-dimension capacity picture (all-zero = never
     /// reported; with delayed telemetry this is the last *arrived*
-    /// snapshot's, like every other site-side column).
+    /// snapshot's, like every other site-side column). On demand
+    /// ([`SiteColumns::RESOURCES`]); all-zero when not demanded.
     pub resources: ResourceSnapshot,
     /// Containers of the routed function the site can still fit, judged
     /// on the binding dimension of the function's demand vector —
-    /// `resources.fit_count(demand)`, refreshed per decision. Infinite
-    /// when the demand or the capacity picture is unknown.
+    /// `resources.fit_count(demand)`, refreshed per decision with
+    /// `resources`. Infinite when the demand or the capacity picture is
+    /// unknown, or when `resources` is not demanded.
     pub fits: f64,
 }
 
@@ -289,6 +305,49 @@ impl RouterConfig {
     }
 }
 
+/// A set of [`SiteState`] columns that cost work to refresh: the
+/// telemetry a router (or the hedging layer) declares it reads, so the
+/// front end computes only those before each decision.
+///
+/// The load picture — `in_flight`, `up` and `flakiness` — is not in
+/// the set: it is cheap, and the front end keeps it fresh on every
+/// decision for every router.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SiteColumns(u8);
+
+impl SiteColumns {
+    /// No site-side telemetry: the load picture only.
+    pub const NONE: Self = Self(0);
+    /// [`SiteState::forecast`]: the site-wide warm fleet plus one M/M/c
+    /// evaluation per site and decision (Erlang-C over the fleet).
+    pub const FORECAST: Self = Self(1);
+    /// [`SiteState::warm`]: the routed function's warm census.
+    pub const WARM: Self = Self(1 << 1);
+    /// [`SiteState::resources`] and the [`SiteState::fits`] derived
+    /// from it.
+    pub const RESOURCES: Self = Self(1 << 2);
+    /// Every column.
+    pub const ALL: Self = Self(Self::FORECAST.0 | Self::WARM.0 | Self::RESOURCES.0);
+
+    /// Whether every column of `other` is in `self`.
+    pub const fn contains(self, other: Self) -> bool {
+        self.0 & other.0 == other.0
+    }
+
+    /// Whether the set is empty.
+    pub const fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+}
+
+impl std::ops::BitOr for SiteColumns {
+    type Output = Self;
+
+    fn bitor(self, rhs: Self) -> Self {
+        Self(self.0 | rhs.0)
+    }
+}
+
 /// A front-end routing policy: picks the destination site for each
 /// arrival in a federated topology.
 pub trait RouterPolicy {
@@ -303,6 +362,20 @@ pub trait RouterPolicy {
 
     /// Short policy name carried into reports.
     fn name(&self) -> &'static str;
+
+    /// The costly [`SiteState`] columns [`route`](Self::route) reads.
+    /// The front end computes only these (plus whatever hedging needs);
+    /// every other column keeps its blank value — zero forecast, zero
+    /// warm census, unknown resources, infinite fits — for the whole
+    /// run. A router that reads a column it did not declare sees that
+    /// blank value, never stale data. The default declares every
+    /// column, so a router (or wrapper) that does not override this
+    /// stays correct and only pays the full refresh. The set must not
+    /// change during a run: a column dropped mid-run would keep its
+    /// last refreshed value.
+    fn columns(&self) -> SiteColumns {
+        SiteColumns::ALL
+    }
 }
 
 /// Index of the least-loaded **up** site (ties broken toward the lower
@@ -354,6 +427,10 @@ impl RouterPolicy for RoundRobinRouter {
     fn name(&self) -> &'static str {
         "round-robin"
     }
+
+    fn columns(&self) -> SiteColumns {
+        SiteColumns::NONE
+    }
 }
 
 /// Send each arrival to the site with the lowest normalized in-flight
@@ -375,6 +452,10 @@ impl RouterPolicy for LeastLoadedRouter {
 
     fn name(&self) -> &'static str {
         "least-loaded"
+    }
+
+    fn columns(&self) -> SiteColumns {
+        SiteColumns::NONE
     }
 }
 
@@ -424,6 +505,10 @@ impl RouterPolicy for LatencyAwareRouter {
 
     fn name(&self) -> &'static str {
         "latency-aware"
+    }
+
+    fn columns(&self) -> SiteColumns {
+        SiteColumns::NONE
     }
 }
 
@@ -553,6 +638,10 @@ impl RouterPolicy for SloAwareRouter {
     fn name(&self) -> &'static str {
         "slo-aware"
     }
+
+    fn columns(&self) -> SiteColumns {
+        SiteColumns::FORECAST | SiteColumns::WARM
+    }
 }
 
 /// Warm-container affinity: route a function to sites already holding
@@ -624,6 +713,10 @@ impl RouterPolicy for AffinityRouter {
 
     fn name(&self) -> &'static str {
         "affinity"
+    }
+
+    fn columns(&self) -> SiteColumns {
+        SiteColumns::FORECAST | SiteColumns::WARM
     }
 }
 
@@ -710,6 +803,10 @@ impl RouterPolicy for FailureAwareRouter {
     fn name(&self) -> &'static str {
         "failure-aware"
     }
+
+    fn columns(&self) -> SiteColumns {
+        SiteColumns::NONE
+    }
 }
 
 /// Vector-aware placement planner: route where the next container of
@@ -786,6 +883,10 @@ impl RouterPolicy for PlannerRouter {
 
     fn name(&self) -> &'static str {
         "planner"
+    }
+
+    fn columns(&self) -> SiteColumns {
+        SiteColumns::ALL
     }
 }
 

@@ -1,6 +1,6 @@
 //! Federated-topology integration tests.
 //!
-//! Three families:
+//! Four families:
 //!
 //! * **Degenerate-topology parity** — a single-site, zero-latency
 //!   topology must reproduce the corresponding plain single-cluster
@@ -13,6 +13,11 @@
 //! * **Fixed-seed federated end-to-end** — a two-site latency-aware
 //!   edge↔cloud run is deterministic, offloads under overload, and
 //!   reports consistent per-site and aggregate statistics.
+//! * **Declared columns vs full view** — every shipped router, run
+//!   bare (the front end refreshes only the view columns it declares)
+//!   and wrapped in a router that demands every column, produces
+//!   byte-identical reports on both executors, with and without chaos,
+//!   hedging and delayed telemetry.
 
 use lass::cluster::{Cluster, CpuMilli, MemMib, PlacementPolicy, Topology};
 use lass::core::{
@@ -21,8 +26,15 @@ use lass::core::{
 };
 use lass::functions::{micro_benchmark, WorkloadSpec};
 use lass::scenario::{Scenario, ScenarioReport};
-use lass::simcore::{RouterKind, SimTime, SiteState, WaitForecast};
+use lass::simcore::{
+    run_federation_parallel, run_simulation, ChaosConfig, ChaosPolicy, ContainerChaos,
+    EngineConfig, EngineOutcome, Fault, FedFunction, FederatedReport, Federation, FnStats,
+    FunctionEntry, HedgeConfig, HedgeTrigger, PolicyCtx, ReqId, ResourceSnapshot, RouterConfig,
+    RouterKind, RouterPolicy, SchedulerPolicy, SimDuration, SimTime, SiteColumns, SiteMeta,
+    SiteState, StaticPoisson, TelemetryConfig, WaitForecast,
+};
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 fn testbed_setup(rate: f64, duration: f64, initial: u32) -> FunctionSetup {
     let mut setup = FunctionSetup::new(
@@ -449,4 +461,327 @@ fn federated_knative_runs_deterministically() {
         .map(|s| s.report.per_fn[&0].completed)
         .sum();
     assert!(completed > 1000, "completed={completed}");
+}
+
+/// Per-function `(rate req/s, mean service s, [cpu, mem, bw] demand)`
+/// of the differential workload: three functions with different
+/// binding dimensions, so the warm census and fit counts differ per
+/// routed function.
+const DIFF_FNS: [(f64, f64, [f64; 3]); 3] = [
+    (10.0, 0.05, [1000.0, 256.0, 0.0]),
+    (6.0, 0.12, [500.0, 1024.0, 0.0]),
+    (3.0, 0.3, [2000.0, 512.0, 10.0]),
+];
+
+/// A router that delegates every pick but demands the full view.
+struct FullView(Box<dyn RouterPolicy + Send>);
+
+impl RouterPolicy for FullView {
+    fn route(&mut self, fn_idx: u32, now: SimTime, sites: &[SiteState]) -> usize {
+        self.0.route(fn_idx, now, sites)
+    }
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn columns(&self) -> SiteColumns {
+        SiteColumns::ALL
+    }
+}
+
+enum CensusEv {
+    Done(ReqId, u32, SimTime),
+}
+
+/// A stochastic FCFS multi-server site with every census column the
+/// routers read: a per-function warm count that grows with
+/// completions (capped at the server count) and shrinks with crashed
+/// containers, and a resource picture charging each in-service
+/// request's demand vector. The site-wide fleet uses the default
+/// `warm_fleet` sum.
+struct CensusServer {
+    servers: u32,
+    busy: u32,
+    queue: VecDeque<ReqId>,
+    warm: Vec<u64>,
+    used: [f64; 3],
+}
+
+impl CensusServer {
+    fn new(servers: u32) -> Self {
+        Self {
+            servers,
+            busy: 0,
+            queue: VecDeque::new(),
+            warm: vec![0; DIFF_FNS.len()],
+            used: [0.0; 3],
+        }
+    }
+
+    fn start(&mut self, ctx: &mut impl PolicyCtx<CensusEv>, rid: ReqId, f: u32, now: SimTime) {
+        let (_, mean, demand) = DIFF_FNS[f as usize];
+        self.busy += 1;
+        for (u, d) in self.used.iter_mut().zip(demand) {
+            *u += d;
+        }
+        let s = ctx.service_rng(f).exp(1.0 / mean);
+        ctx.schedule(
+            now + SimDuration::from_secs_f64(s),
+            CensusEv::Done(rid, f, now),
+        );
+    }
+}
+
+impl SchedulerPolicy for CensusServer {
+    type Event = CensusEv;
+    type Report = Vec<FnStats>;
+
+    fn on_start(&mut self, _ctx: &mut impl PolicyCtx<CensusEv>) {}
+
+    fn on_arrival(
+        &mut self,
+        ctx: &mut impl PolicyCtx<CensusEv>,
+        rid: ReqId,
+        fn_idx: u32,
+        now: SimTime,
+    ) {
+        if self.busy < self.servers {
+            self.start(ctx, rid, fn_idx, now);
+        } else {
+            self.queue.push_back(rid);
+        }
+    }
+
+    fn on_event(&mut self, ctx: &mut impl PolicyCtx<CensusEv>, ev: CensusEv, now: SimTime) {
+        let CensusEv::Done(rid, f, started) = ev;
+        ctx.complete(rid, started, now);
+        self.busy -= 1;
+        for (u, d) in self.used.iter_mut().zip(DIFF_FNS[f as usize].2) {
+            *u -= d;
+        }
+        let w = &mut self.warm[f as usize];
+        *w = (*w + 1).min(u64::from(self.servers));
+        while let Some(next) = self.queue.pop_front() {
+            // Cancelled hedge copies leave stale ids behind.
+            if let Some((f, _)) = ctx.request_info(next) {
+                self.start(ctx, next, f, now);
+                break;
+            }
+        }
+    }
+
+    fn finish(self, outcome: EngineOutcome) -> Vec<FnStats> {
+        outcome.per_fn
+    }
+}
+
+impl ContainerChaos for CensusServer {
+    fn crash_containers(
+        &mut self,
+        _ctx: &mut impl PolicyCtx<CensusEv>,
+        count: u32,
+        _now: SimTime,
+    ) -> u32 {
+        let mut crashed = 0;
+        for w in &mut self.warm {
+            let k = (*w).min(u64::from(count - crashed));
+            *w -= k;
+            crashed += k as u32;
+        }
+        crashed
+    }
+
+    fn warm_containers(&self, fn_idx: u32) -> u64 {
+        self.warm.get(fn_idx as usize).copied().unwrap_or(0)
+    }
+
+    fn resource_snapshot(&self) -> ResourceSnapshot {
+        let n = f64::from(self.servers);
+        ResourceSnapshot {
+            cap: [1500.0 * n, 1024.0 * n, 15.0],
+            used: self.used,
+        }
+    }
+}
+
+/// One differential configuration: which executor, which faults,
+/// which hedge, and whether routers see delayed telemetry.
+#[derive(Debug, Clone, Copy)]
+struct DiffCase {
+    /// `None` = sequential federation, `Some(n)` = parallel executor.
+    threads: Option<usize>,
+    storm: bool,
+    hedge: Option<HedgeTrigger>,
+    stale: bool,
+}
+
+fn diff_storm() -> ChaosConfig {
+    ChaosConfig {
+        events: vec![
+            (8.0, Fault::SiteDown { site: 0 }),
+            (10.0, Fault::PartitionStart { site: 1 }),
+            (14.0, Fault::PartitionEnd { site: 1 }),
+            (16.0, Fault::SiteUp { site: 0 }),
+            (18.0, Fault::ContainerBurst { site: 2, count: 3 }),
+            (
+                20.0,
+                Fault::SiteSlowdown {
+                    site: 3,
+                    permille: 500,
+                },
+            ),
+        ],
+        site_mtbf_secs: Some(20.0),
+        site_mttr_secs: 4.0,
+        ..ChaosConfig::default()
+    }
+}
+
+/// A tight SLO (so the p95 hedge trigger fires) and a cold-start
+/// penalty (so the warm census enters every model-driven score).
+fn diff_router_config() -> RouterConfig {
+    RouterConfig {
+        slo_ms: 40.0,
+        cold_start_penalty_ms: 20.0,
+        ..RouterConfig::default()
+    }
+}
+
+fn diff_run(router: Box<dyn RouterPolicy + Send>, case: DiffCase) -> FederatedReport<Vec<FnStats>> {
+    const SEED: u64 = 17;
+    const SECS: u64 = 30;
+    let functions: Vec<FedFunction> = DIFF_FNS
+        .iter()
+        .enumerate()
+        .map(|(i, &(_, _, demand))| FedFunction {
+            name: format!("f{i}"),
+            slo_deadline: 0.5,
+            demand,
+        })
+        .collect();
+    let entries = DIFF_FNS
+        .iter()
+        .enumerate()
+        .map(|(i, &(rate, _, _))| FunctionEntry {
+            name: format!("f{i}"),
+            slo_deadline: 0.5,
+            process: Box::new(StaticPoisson::until(rate, SimTime::from_secs(SECS))),
+        })
+        .collect();
+    let sites = [(13.0, 2), (29.0, 3), (47.0, 2), (61.0, 4)]
+        .iter()
+        .enumerate()
+        .map(|(i, &(ms, servers))| {
+            let meta = SiteMeta {
+                name: format!("s{i}"),
+                latency: SimDuration::from_secs_f64(ms / 1e3),
+                capacity_hint: f64::from(servers),
+            };
+            (meta, CensusServer::new(servers))
+        })
+        .collect();
+    let mut fed = Federation::new(sites, router, &functions)
+        .with_rebuild(Box::new(|i, _| CensusServer::new([2, 3, 2, 4][i])));
+    fed.set_router_config(&diff_router_config());
+    fed.set_multidim(true);
+    if let Some(trigger) = case.hedge {
+        fed.set_hedge(HedgeConfig {
+            trigger,
+            ..HedgeConfig::default()
+        });
+    }
+    if case.stale {
+        fed.set_telemetry(
+            TelemetryConfig {
+                report_interval: SimDuration::from_millis(250),
+                jitter: SimDuration::from_millis(50),
+                loss_under_partition: true,
+                loss_prob: 0.05,
+            },
+            SEED,
+        );
+    }
+    let chaos = if case.storm {
+        diff_storm()
+    } else {
+        ChaosConfig::default()
+    };
+    let cfg = EngineConfig {
+        seed: SEED,
+        parallel_sites: case.threads,
+        drain_secs: 30.0,
+        ..EngineConfig::default()
+    };
+    match case.threads {
+        None => run_simulation(cfg, entries, ChaosPolicy::new(fed, chaos, SEED)),
+        Some(_) => run_federation_parallel(cfg, entries, fed, chaos, SEED),
+    }
+}
+
+/// Declaring columns is a pure optimisation: for every shipped router
+/// the bare router (refreshing only what it declares) and the same
+/// router behind a full-view wrapper produce byte-identical reports on
+/// the sequential federation and the parallel executor at 1 and 2
+/// threads, plain and under a chaos storm, unhedged and with deferred
+/// or p95 hedging, on fresh and on jittered lossy telemetry.
+#[test]
+fn declared_columns_match_the_full_view() {
+    let mut cases = Vec::new();
+    for threads in [None, Some(1), Some(2)] {
+        for storm in [false, true] {
+            for hedge in [
+                None,
+                Some(HedgeTrigger::DeferredMs(30.0)),
+                Some(HedgeTrigger::PredictedP95OverSlo),
+            ] {
+                for stale in [false, true] {
+                    cases.push(DiffCase {
+                        threads,
+                        storm,
+                        hedge,
+                        stale,
+                    });
+                }
+            }
+        }
+    }
+    for kind in RouterKind::ALL {
+        for &case in &cases {
+            let bare = serde_json::to_string(&diff_run(kind.build(), case)).unwrap();
+            let full =
+                serde_json::to_string(&diff_run(Box::new(FullView(kind.build())), case)).unwrap();
+            assert_eq!(
+                bare,
+                full,
+                "{} diverged from its full-view run in {case:?}",
+                kind.as_str()
+            );
+        }
+    }
+    // The differential means something only if the columns are really
+    // narrower than the full view for most routers, and the faults and
+    // hedges engaged.
+    let narrow = RouterKind::ALL
+        .iter()
+        .filter(|k| k.build().columns() != SiteColumns::ALL)
+        .count();
+    assert_eq!(narrow, 6, "only the planner reads every column");
+    let case = DiffCase {
+        threads: None,
+        storm: false,
+        hedge: Some(HedgeTrigger::PredictedP95OverSlo),
+        stale: false,
+    };
+    let rep = diff_run(RouterKind::LeastLoaded.build(), case);
+    let hedged: usize = rep.aggregate_per_fn.iter().map(|f| f.hedged).sum();
+    assert!(hedged > 0, "no p95 hedges fired");
+    let case = DiffCase {
+        storm: true,
+        hedge: None,
+        ..case
+    };
+    let rep = diff_run(RouterKind::SloAware.build(), case);
+    let migrated: usize = rep.per_site.iter().map(|s| s.migrated).sum();
+    assert!(migrated > 0, "the storm did not engage");
 }
