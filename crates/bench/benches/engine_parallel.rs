@@ -11,12 +11,19 @@
 //! preserves the other's).
 //!
 //! With `ENGINE_BENCH_SMOKE` set, the run shrinks to one 64-site
-//! configuration and **fails** (non-zero exit) unless 4 worker threads
-//! beat 1 by ≥1.5× — the CI tripwire against serializing the worker
-//! phase (an accidental global lock, a barrier per event instead of per
-//! window). The tripwire needs real cores: on machines with fewer than
-//! 4 it prints a loud skip and exits green, because a speedup target on
-//! an oversubscribed core measures the scheduler, not the executor.
+//! configuration and runs two gates, each **failing** (non-zero exit)
+//! on a miss:
+//!
+//! * on ≥2 cores, 2 threads must not be slower than 1 (best of 3 each,
+//!   runs alternating) — the executor's synchronization overhead must
+//!   not eat the second core;
+//! * on ≥4 cores, 4 threads must beat 1 by ≥1.5× — the tripwire
+//!   against serializing the worker phase (an accidental global lock, a
+//!   barrier per event instead of per window).
+//!
+//! Each gate needs real cores: with too few it prints a loud skip,
+//! because a speedup target on an oversubscribed core measures the
+//! scheduler, not the executor.
 
 use lass::replay::{run_replay, ReplayConfig, ReplaySummary};
 use lass_bench::{cores, merge_bench_rows};
@@ -42,13 +49,44 @@ fn replay(sites: usize, threads: usize, minutes: usize) -> ReplaySummary {
 }
 
 const SMOKE_SPEEDUP_FLOOR: f64 = 1.5;
+/// Ceiling on the 2-thread / 1-thread wall-time ratio at 64 sites.
+const SMOKE_TWO_THREAD_CEILING: f64 = 1.0;
+
+/// Best-of-`n` wall seconds at 1 and at 2 threads over `sites` sites,
+/// the runs alternating so a slow spell on a shared host hits both.
+fn best_walls_1_2(n: usize, sites: usize, minutes: usize) -> (f64, f64) {
+    (0..n).fold((f64::INFINITY, f64::INFINITY), |(one, two), _| {
+        let a = replay(sites, 1, minutes).wall_secs;
+        let b = replay(sites, 2, minutes).wall_secs;
+        (one.min(a), two.min(b))
+    })
+}
 
 fn main() {
     let cores = cores();
     if std::env::var_os("ENGINE_BENCH_SMOKE").is_some() {
+        if cores < 2 {
+            eprintln!(
+                "SKIPPING engine_parallel smoke 2-thread gate: {cores} core(s) available, \
+                 need >= 2 to compare 2 threads against 1 honestly"
+            );
+        } else {
+            let (one, two) = best_walls_1_2(3, 64, 2);
+            let ratio = two / one;
+            println!(
+                "smoke engine_parallel/64sites: 1thr {one:.2}s, 2thr {two:.2}s \
+                 -> 2thr/1thr wall {ratio:.2}x (best of 3)"
+            );
+            assert!(
+                ratio <= SMOKE_TWO_THREAD_CEILING,
+                "2-thread/64-site wall time is {ratio:.2}x the 1-thread run, above the \
+                 {SMOKE_TWO_THREAD_CEILING}x ceiling — window synchronization is costing \
+                 more than the second core gives back"
+            );
+        }
         if cores < 4 {
             eprintln!(
-                "SKIPPING engine_parallel smoke tripwire: {cores} core(s) available, \
+                "SKIPPING engine_parallel smoke 4-thread tripwire: {cores} core(s) available, \
                  need >= 4 to measure a speedup target honestly"
             );
             return;

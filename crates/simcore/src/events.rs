@@ -306,6 +306,7 @@ mod tests {
         assert!(q.is_empty());
     }
 
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "scheduling into the past")]
     fn scheduling_into_past_panics_in_debug() {
@@ -313,6 +314,22 @@ mod tests {
         q.schedule(SimTime::from_secs(2), ());
         q.pop();
         q.schedule(SimTime::from_secs(1), ());
+    }
+
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn scheduling_into_past_clamps_to_now_in_release() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(2), "a");
+        q.schedule(SimTime::from_secs(3), "c");
+        q.pop();
+        q.schedule(SimTime::from_secs(1), "b");
+        // Clamped to `now`, so it fires before the later event and the
+        // clock never runs backwards.
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(2), "b")));
+        assert_eq!(q.now(), SimTime::from_secs(2));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(3), "c")));
     }
 
     #[test]

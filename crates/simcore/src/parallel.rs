@@ -27,11 +27,27 @@
 //!    `latency ≥ L`, a delivery created in this window always lands in
 //!    a later window, so the per-site inboxes only ever hold
 //!    current-window messages.
-//! 2. **Worker phase**: `parallel_sites` worker threads drain each
-//!    site's inbox and local event queue through `[T, H)`, running the
-//!    site's scheduler exactly as the sequential run would. Sites are
-//!    fully independent inside a window; outcomes (completions,
-//!    timeouts, losses, reruns) are appended to a per-site log.
+//! 2. **Worker phase**: the sites are dealt into `parallel_sites`
+//!    shares. The main thread pumps share 0 itself and
+//!    `parallel_sites − 1` spawned workers pump the rest (one thread
+//!    runs everything, spawning none), draining each site's inbox and
+//!    local event queue through `[T, H)` and running the site's
+//!    scheduler exactly as the sequential run would. Sites are fully
+//!    independent inside a window; outcomes (completions, timeouts,
+//!    losses, reruns) are appended to a per-site log. One lock-free
+//!    gate per window releases the workers (the main thread publishes
+//!    the horizon and bumps an epoch) and collects them (the last
+//!    worker to finish wakes the main thread). Waiters spin briefly
+//!    before parking, but only while every executor thread in the
+//!    process fits the host's cores — spinning on an oversubscribed
+//!    core starves the thread it waits for. A site with nothing before
+//!    `H` is not touched at all: each shard's next-work time lives in a
+//!    lock-free word beside it, written back by the pump and lowered by
+//!    every message the main thread posts, so the horizon needs no scan
+//!    and the pump skips idle shards. The main thread's messages to a
+//!    share and the share's outcome logs travel through one mailbox per
+//!    share, so outside the worker phase the main thread does not touch
+//!    the shards another thread pumps.
 //! 3. **Merge phase** (main thread): the per-site logs are merged in
 //!    deterministic `(time, site, log-index)` order and folded into the
 //!    cross-site aggregate statistics and the router telemetry — the
@@ -54,9 +70,10 @@
 //! with [`Federation`] (see [`crate::federation`]), which reads each
 //! site's census through one lock on its barrier-parked shard per
 //! refresh. This module keeps the shards and their site-local
-//! [`PolicyCtx`], the worker pump, the window loop, the merge, and
-//! merge-order hedge arbitration: the first terminal outcome of any copy
-//! to merge wins, and later copies count as cancelled or wasted work.
+//! [`PolicyCtx`], the worker pump, mailboxes and window gate, the
+//! window loop, the merge, and merge-order hedge arbitration: the first
+//! terminal outcome of any copy to merge wins, and later copies count
+//! as cancelled or wasted work.
 //!
 //! # Determinism contract
 //!
@@ -98,7 +115,9 @@ use crate::rng::SimRng;
 use crate::telemetry::TelemetrySnapshot;
 use crate::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::{Barrier, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
+use std::thread::Thread;
 
 /// A time-stamped inter-shard message: what the front-end hands a site
 /// for one window. Deliveries are the routed (or migrated) requests
@@ -344,8 +363,9 @@ impl<E> PolicyCtx<E> for LocalCtx<'_, E> {
 /// Advance one shard through `[its current time, horizon)`: drain the
 /// window's inbox merged with the local calendar in time order (inbox
 /// first on ties — front-end messages were scheduled before the site's
-/// own run-time events in the sequential calendar).
-fn pump_shard<P: ContainerChaos>(shard: &mut Shard<P>, horizon: SimTime) {
+/// own run-time events in the sequential calendar). Returns the time of
+/// the shard's next work, if any.
+fn pump_shard<P: ContainerChaos>(shard: &mut Shard<P>, horizon: SimTime) -> Option<SimTime> {
     loop {
         let next_inbox = shard.st.inbox.front().map(|&(t, _)| t);
         let next_local = shard.st.queue.peek_time();
@@ -353,12 +373,12 @@ fn pump_shard<P: ContainerChaos>(shard: &mut Shard<P>, horizon: SimTime) {
             (Some(ti), Some(tl)) => ti <= tl,
             (Some(_), None) => true,
             (None, Some(_)) => false,
-            (None, None) => break,
+            (None, None) => return None,
         };
         if take_inbox {
             let t = next_inbox.expect("checked");
             if t >= horizon {
-                break;
+                return Some(t);
             }
             let (_, msg) = shard.st.inbox.pop_front().expect("checked");
             let Shard { policy, st } = shard;
@@ -416,7 +436,7 @@ fn pump_shard<P: ContainerChaos>(shard: &mut Shard<P>, horizon: SimTime) {
         } else {
             let tl = next_local.expect("checked");
             if tl >= horizon {
-                break;
+                return Some(tl);
             }
             let (t, ev) = shard.st.queue.pop().expect("checked");
             let Shard { policy, st } = shard;
@@ -506,15 +526,66 @@ struct FeHedge {
     lost: Vec<u32>,
 }
 
+/// The shards, each behind its own (uncontended) lock, plus one
+/// lock-free word per shard that lets the main thread and the workers
+/// agree on which shards have work without touching the idle ones.
+struct Shards<P: ContainerChaos> {
+    cells: Vec<Mutex<Shard<P>>>,
+    /// Per shard, in ns (`u64::MAX` for never): between windows, the
+    /// time of its next local event; once a window is armed, lowered to
+    /// its earliest message posted since its last pump. A shard is
+    /// pumped in a window iff this is before the horizon, and the pump
+    /// stores the shard's next work time back. Accesses are `Relaxed`:
+    /// the window gate orders them (see [`WindowGate`]).
+    due: Vec<AtomicU64>,
+    /// One mailbox per share (site `i` belongs to share `i % threads`).
+    boxes: Vec<Mutex<ShareBox>>,
+}
+
+/// What crosses between the main thread and one share in a window, so
+/// the main thread never touches a share's shards in the front-end or
+/// merge phase: the messages it posts, and the outcomes the share's
+/// pump logged.
+#[derive(Default)]
+struct ShareBox {
+    /// `(site, t, msg)` in posting order, moved into the sites' inboxes
+    /// when the share is pumped.
+    outbox: Vec<(usize, SimTime, Msg)>,
+    /// `(site, entry)` logged by the share's sites this window.
+    log: Vec<(u32, LogEntry)>,
+}
+
+impl<P: ContainerChaos> Shards<P> {
+    fn lock(&self, i: usize) -> MutexGuard<'_, Shard<P>> {
+        self.cells[i].lock().expect("shard lock")
+    }
+
+    fn share_box(&self, share: usize) -> MutexGuard<'_, ShareBox> {
+        self.boxes[share].lock().expect("share box lock")
+    }
+
+    /// Re-read shard `i`'s next local event after the main thread
+    /// changed its calendar.
+    fn refresh_due(&self, i: usize) {
+        let next = self.lock(i).st.queue.peek_time();
+        self.due[i].store(ns_or_never(next), Ordering::Relaxed);
+    }
+}
+
+/// `t` in ns, or `u64::MAX` for `None`.
+fn ns_or_never(t: Option<SimTime>) -> u64 {
+    t.map_or(u64::MAX, |t| t.0)
+}
+
 /// The census of barrier-parked shards: one uncontended lock per call
 /// (phases never overlap, so the site's state is as of the last
 /// barrier — at most one lookahead window stale, and identical for
 /// every thread count).
-impl<P: ContainerChaos> SiteAccess for [Mutex<Shard<P>>] {
+impl<P: ContainerChaos> SiteAccess for Shards<P> {
     type Policy = P;
 
     fn with_site<R>(&self, i: usize, f: impl FnOnce(&P) -> R) -> R {
-        f(&self[i].lock().expect("shard lock").policy)
+        f(&self.lock(i).policy)
     }
 }
 
@@ -538,9 +609,39 @@ struct Coordinator<P: ContainerChaos> {
     end: SimTime,
     /// Live hedge groups by logical request id.
     hedges: BTreeMap<u64, FeHedge>,
+    /// Per site, the earliest message posted (or fault applied) since
+    /// its last pump, folded into [`Shards::due`] when a window is armed.
+    posted: Vec<SimTime>,
 }
 
 impl<P: ContainerChaos> Coordinator<P> {
+    /// Hand `msg` to site `site`'s inbox (through its share's
+    /// mailbox), due at `t`.
+    fn post(&mut self, shards: &Shards<P>, site: usize, t: SimTime, msg: Msg) {
+        let share = site % shards.boxes.len();
+        shards.share_box(share).outbox.push((site, t, msg));
+        self.posted[site] = self.posted[site].min(t);
+    }
+
+    /// The earliest pending event anywhere: the front-end calendar or a
+    /// site's local calendar.
+    fn earliest_pending(&mut self, shards: &Shards<P>) -> Option<SimTime> {
+        let local = shards.due.iter().map(|d| d.load(Ordering::Relaxed));
+        let t = local.fold(ns_or_never(self.calendar.peek_time()), u64::min);
+        (t != u64::MAX).then_some(SimTime(t))
+    }
+
+    /// Fold the messages posted (and faults applied) since the last
+    /// pump into [`Shards::due`], arming their sites for the window.
+    fn arm(&mut self, shards: &Shards<P>) {
+        for (due, posted) in shards.due.iter().zip(&mut self.posted) {
+            if posted.0 < due.load(Ordering::Relaxed) {
+                due.store(posted.0, Ordering::Relaxed);
+            }
+            *posted = SimTime(u64::MAX);
+        }
+    }
+
     fn schedule_next_arrival(&mut self, fn_idx: u32, now: SimTime) {
         let (process, rng) = &mut self.procs[fn_idx as usize];
         if let Some(t) = process.next_after(now, rng) {
@@ -619,7 +720,7 @@ impl<P: ContainerChaos> Coordinator<P> {
     /// already released) or was still in transit (bounced delivery).
     fn migrate(
         &mut self,
-        shards: &[Mutex<Shard<P>>],
+        shards: &Shards<P>,
         from: usize,
         rid: u64,
         fn_idx: u32,
@@ -648,16 +749,14 @@ impl<P: ContainerChaos> Coordinator<P> {
         if dies {
             self.agg[fn_idx as usize].cancelled += 1;
             if delivered {
-                let mut shard = shards[from].lock().expect("shard lock");
-                shard.st.per_fn[fn_idx as usize].cancelled += 1;
+                shards.lock(from).st.per_fn[fn_idx as usize].cancelled += 1;
             }
             return;
         }
         let Some((dest, hop)) = self.front.reroute(shards, from, fn_idx, now) else {
             // Nowhere to go: the request is failed (engine-level lost).
             if delivered {
-                let mut shard = shards[from].lock().expect("shard lock");
-                shard.st.per_fn[fn_idx as usize].lost += 1;
+                shards.lock(from).st.per_fn[fn_idx as usize].lost += 1;
             }
             self.agg[fn_idx as usize].lost += 1;
             self.lost_total += 1;
@@ -696,13 +795,20 @@ impl<P: ContainerChaos> Coordinator<P> {
     }
 
     /// Apply one fault at a window barrier: the front end flips its
-    /// state, the shard gets the site-side half.
-    fn apply_fault(&mut self, shards: &[Mutex<Shard<P>>], fault: Fault, now: SimTime) {
+    /// state, the shard gets the site-side half and is pumped in the
+    /// coming window.
+    fn apply_fault(&mut self, shards: &Shards<P>, fault: Fault, now: SimTime) {
         let i = fault.site() as usize;
         let Some(effect) = self.front.apply_fault(fault, now, self.end) else {
             return;
         };
-        let mut shard = shards[i].lock().expect("shard lock");
+        self.apply_effect(shards, i, effect, now);
+        shards.refresh_due(i);
+        self.posted[i] = self.posted[i].min(now);
+    }
+
+    fn apply_effect(&mut self, shards: &Shards<P>, i: usize, effect: SiteEffect, now: SimTime) {
+        let mut shard = shards.lock(i);
         match effect {
             SiteEffect::Crash => {
                 assert!(
@@ -783,16 +889,13 @@ impl<P: ContainerChaos> Coordinator<P> {
     /// Merge the window's per-site outcome logs into the aggregate in
     /// deterministic `(time, site, log-index)` order and feed the
     /// per-site telemetry — thread-count-independent by construction.
-    fn merge_window(&mut self, shards: &[Mutex<Shard<P>>]) {
+    fn merge_window(&mut self, shards: &Shards<P>) {
         let mut merged: Vec<(u32, LogEntry)> = Vec::new();
-        for (i, shard) in shards.iter().enumerate() {
-            let mut shard = shard.lock().expect("shard lock");
-            for e in shard.st.log.drain(..) {
-                merged.push((i as u32, e));
-            }
+        for share in 0..shards.boxes.len() {
+            merged.append(&mut shards.share_box(share).log);
         }
-        // Stable by time: equal instants keep (site, log-index) order.
-        merged.sort_by_key(|(_, e)| e.t);
+        // Stable by (time, site): each site's entries keep log order.
+        merged.sort_by_key(|&(site, ref e)| (e.t, site));
         let hedging = self.front.hedge.is_some();
         for (site, e) in merged {
             let i = site as usize;
@@ -853,7 +956,7 @@ impl<P: ContainerChaos> Coordinator<P> {
 
     /// The front-end phase: process every front-end calendar event
     /// before `horizon`.
-    fn run_front_phase(&mut self, shards: &[Mutex<Shard<P>>], horizon: SimTime) {
+    fn run_front_phase(&mut self, shards: &Shards<P>, horizon: SimTime) {
         while self.calendar.peek_time().is_some_and(|t| t < horizon) {
             let (now, ev) = self.calendar.pop().expect("checked");
             match ev {
@@ -924,15 +1027,16 @@ impl<P: ContainerChaos> Coordinator<P> {
                         }
                         self.settle_loser(rid);
                     } else if self.front.sites[i].routable() {
-                        let mut shard = shards[i].lock().expect("shard lock");
-                        shard.st.inbox.push_back((
+                        self.post(
+                            shards,
+                            i,
                             now,
                             Msg::Deliver {
                                 rid,
                                 fn_idx,
                                 arrival,
                             },
-                        ));
+                        );
                     } else {
                         // The destination went dark while the request
                         // was in flight: bounce and migrate.
@@ -957,8 +1061,7 @@ impl<P: ContainerChaos> Coordinator<P> {
                 }
                 FeEv::DirectiveDue { site, desired } => {
                     if self.front.directive_lands(site as usize) {
-                        let mut shard = shards[site as usize].lock().expect("shard lock");
-                        shard.st.inbox.push_back((now, Msg::Directive { desired }));
+                        self.post(shards, site as usize, now, Msg::Directive { desired });
                     }
                 }
                 FeEv::HedgeFire { rid, fn_idx } => {
@@ -992,11 +1095,173 @@ impl<P: ContainerChaos> Coordinator<P> {
                     }
                 }
                 FeEv::CancelDue { site, rid } => {
-                    let mut shard = shards[site as usize].lock().expect("shard lock");
-                    shard.st.inbox.push_back((now, Msg::Cancel { rid }));
+                    self.post(shards, site as usize, now, Msg::Cancel { rid });
                 }
             }
         }
+    }
+}
+
+/// Pump share `share` (sites `share`, `share + threads`, …) to
+/// `horizon`: deliver its mailbox, pump every armed shard, and log their
+/// outcomes back to the mailbox. Idle shards are skipped without
+/// touching them.
+fn pump_share<P: ContainerChaos>(shards: &Shards<P>, share: usize, horizon: SimTime) {
+    let threads = shards.boxes.len();
+    let mut mailbox = shards.share_box(share);
+    let ShareBox { outbox, log } = &mut *mailbox;
+    for (site, t, msg) in outbox.drain(..) {
+        shards.lock(site).st.inbox.push_back((t, msg));
+    }
+    let sites = (share..shards.cells.len()).step_by(threads);
+    for (i, due) in sites.zip(shards.due.iter().skip(share).step_by(threads)) {
+        if due.load(Ordering::Relaxed) < horizon.0 {
+            let mut shard = shards.lock(i);
+            let next = pump_shard(&mut shard, horizon);
+            due.store(ns_or_never(next), Ordering::Relaxed);
+            log.extend(shard.st.log.drain(..).map(|e| (i as u32, e)));
+        }
+    }
+}
+
+/// Spin-poll rounds before a gate waiter parks: ≈70 µs on a 2-core
+/// Xeon host (≈17 ns a round). A worker's wait spans the main thread's
+/// serial merge, horizon and front-end phases, and the main thread's
+/// wait spans the slowest share — both tens of µs per window — while a
+/// parked thread wakes ≈0.1 ms late on that host.
+const SPIN_ROUNDS: u32 = 1 << 12;
+
+/// Executor threads (main threads included) of every parallel run in
+/// this process. Waiters spin only while these all fit the host's cores
+/// — with more, a spinner may hold the very core the thread it waits for
+/// needs (a sweep running parallel cells side by side, or a test
+/// harness).
+static EXECUTOR_THREADS: AtomicUsize = AtomicUsize::new(0);
+
+/// Counts a run's threads into [`EXECUTOR_THREADS`] while it lives.
+struct ThreadsInUse(usize);
+
+impl ThreadsInUse {
+    fn new(threads: usize) -> Self {
+        EXECUTOR_THREADS.fetch_add(threads, Ordering::Relaxed);
+        Self(threads)
+    }
+}
+
+impl Drop for ThreadsInUse {
+    fn drop(&mut self) {
+        EXECUTOR_THREADS.fetch_sub(self.0, Ordering::Relaxed);
+    }
+}
+
+/// The per-window gate between the main thread and the spawned workers:
+/// the main thread publishes the horizon and bumps `epoch`; each worker
+/// pumps its share and decrements `remaining`, and the last one wakes the
+/// main thread. One release and one collection per window, no locks.
+///
+/// Ordering: everything the main thread writes before the `Release`
+/// bump of `epoch` (the horizon, [`Shards::due`], the mailboxes) is
+/// visible to a worker after its `Acquire` load sees the new epoch;
+/// everything a worker writes before its `AcqRel` decrement of
+/// `remaining` is visible to the main thread after its `Acquire` load
+/// reads zero (the decrements form one release sequence).
+struct WindowGate {
+    /// Windows opened so far; a worker runs each epoch exactly once.
+    epoch: AtomicU64,
+    /// The open window's horizon in ns, or [`WindowGate::STOP`].
+    horizon: AtomicU64,
+    /// Workers still pumping the open window.
+    remaining: AtomicUsize,
+    /// The thread that opens windows and waits for them.
+    main: Thread,
+    /// Cores available to this process.
+    cores: usize,
+}
+
+impl WindowGate {
+    const STOP: u64 = u64::MAX;
+
+    fn new() -> Self {
+        Self {
+            epoch: AtomicU64::new(0),
+            horizon: AtomicU64::new(0),
+            remaining: AtomicUsize::new(0),
+            main: std::thread::current(),
+            cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        }
+    }
+
+    /// Spin briefly (while every executor thread has a core), then park
+    /// until `ready` holds. Every state change is followed by an
+    /// `unpark` of the waiter, so a park never misses it.
+    fn wait_until(&self, ready: impl Fn() -> bool) {
+        if EXECUTOR_THREADS.load(Ordering::Relaxed) <= self.cores {
+            for _ in 0..SPIN_ROUNDS {
+                if ready() {
+                    return;
+                }
+                std::hint::spin_loop();
+            }
+        }
+        while !ready() {
+            std::thread::park();
+        }
+    }
+
+    /// Worker side: wait for the window after `epoch` and return its
+    /// horizon, or `None` once the run is over.
+    fn next_window(&self, epoch: &mut u64) -> Option<SimTime> {
+        self.wait_until(|| self.epoch.load(Ordering::Acquire) != *epoch);
+        *epoch += 1;
+        let horizon = self.horizon.load(Ordering::Relaxed);
+        (horizon != Self::STOP).then_some(SimTime(horizon))
+    }
+}
+
+/// A worker's "share pumped" signal, sent on drop so a panicking worker
+/// still releases the main thread (which then trips over the poisoned
+/// mailbox lock and unwinds instead of hanging).
+struct WindowDone<'a>(&'a WindowGate);
+
+impl Drop for WindowDone<'_> {
+    fn drop(&mut self) {
+        if self.0.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.0.main.unpark();
+        }
+    }
+}
+
+/// The main thread's side of the gate. Dropping it (also on unwind)
+/// stops the workers, so the thread scope can always join them.
+struct GateLeader<'a> {
+    gate: &'a WindowGate,
+    workers: Vec<Thread>,
+}
+
+impl GateLeader<'_> {
+    /// Open the window up to `horizon` ns (or [`WindowGate::STOP`]) for
+    /// every worker.
+    fn open(&self, horizon: u64) {
+        self.gate
+            .remaining
+            .store(self.workers.len(), Ordering::Relaxed);
+        self.gate.horizon.store(horizon, Ordering::Relaxed);
+        self.gate.epoch.fetch_add(1, Ordering::Release);
+        for w in &self.workers {
+            w.unpark();
+        }
+    }
+
+    /// Wait until every worker has pumped its share of the open window.
+    fn wait_done(&self) {
+        self.gate
+            .wait_until(|| self.gate.remaining.load(Ordering::Acquire) == 0);
+    }
+}
+
+impl Drop for GateLeader<'_> {
+    fn drop(&mut self) {
+        self.open(WindowGate::STOP);
     }
 }
 
@@ -1008,10 +1273,11 @@ impl<P: ContainerChaos> Coordinator<P> {
 /// `chaos`/`chaos_seed` describe the fault schedule the sequential path
 /// would inject through a
 /// [`ChaosPolicy`](crate::chaos::ChaosPolicy) wrapper (pass
-/// `ChaosConfig::default()` for a fault-free run). The worker count
-/// comes from `cfg.parallel_sites` (clamped to the site count; `None`
-/// runs the windowed executor single-threaded, which produces the same
-/// bytes as any other thread count).
+/// `ChaosConfig::default()` for a fault-free run). The thread count,
+/// calling thread included, comes from `cfg.parallel_sites` (clamped to
+/// the site count; `None` runs the windowed executor on the calling
+/// thread alone, which produces the same bytes as any other thread
+/// count).
 ///
 /// # Panics
 ///
@@ -1067,7 +1333,7 @@ where
 
     // The front end moves to the main thread whole; each site's
     // scheduler and the site-private half of its tally become a shard.
-    let shards: Vec<Mutex<Shard<P>>> = sites
+    let mut cells: Vec<Mutex<Shard<P>>> = sites
         .into_iter()
         .zip(tallies)
         .enumerate()
@@ -1137,6 +1403,7 @@ where
         next_rid: 0,
         end,
         hedges: BTreeMap::new(),
+        posted: vec![SimTime(u64::MAX); n_sites],
     };
     for i in 0..fe.procs.len() as u32 {
         fe.schedule_next_arrival(i, SimTime::ZERO);
@@ -1148,41 +1415,50 @@ where
         }
     }
     // Site start-up runs on the main thread before the first window.
-    for shard in &shards {
-        let mut shard = shard.lock().expect("shard lock");
-        let Shard { policy, st } = &mut *shard;
+    for shard in &mut cells {
+        let Shard { policy, st } = shard.get_mut().expect("shard lock");
         policy.on_start(&mut LocalCtx {
             st,
             now: SimTime::ZERO,
             offset: SimDuration::ZERO,
         });
     }
+    let shards = Shards {
+        due: (0..n_sites).map(|_| AtomicU64::new(0)).collect(),
+        boxes: (0..threads).map(|_| Mutex::default()).collect(),
+        cells,
+    };
+    for i in 0..n_sites {
+        shards.refresh_due(i);
+    }
 
-    // Bulk-synchronous window loop: two barrier waits per window, the
-    // horizon handed to the persistent workers through a mutex.
-    let start_barrier = Barrier::new(threads + 1);
-    let done_barrier = Barrier::new(threads + 1);
-    // (horizon, stop)
-    let command = Mutex::new((SimTime::ZERO, false));
-    let shards_ref = shards.as_slice();
+    // Bulk-synchronous window loop. The main thread pumps shard share 0
+    // itself; `threads - 1` workers pump the others, released and
+    // collected through one gate per window.
+    let _in_use = ThreadsInUse::new(threads);
+    let gate = WindowGate::new();
+    let shards_ref = &shards;
     std::thread::scope(|scope| {
-        for w in 0..threads {
-            let start = &start_barrier;
-            let done = &done_barrier;
-            let command = &command;
-            scope.spawn(move || loop {
-                start.wait();
-                let (horizon, stop) = *command.lock().expect("command lock");
-                if stop {
-                    return;
-                }
-                for i in (w..n_sites).step_by(threads) {
-                    let mut shard = shards_ref[i].lock().expect("shard lock");
-                    pump_shard(&mut shard, horizon);
-                }
-                done.wait();
-            });
-        }
+        let workers = (1..threads)
+            .map(|w| {
+                let gate = &gate;
+                scope
+                    .spawn(move || {
+                        let mut epoch = 0;
+                        while let Some(horizon) = gate.next_window(&mut epoch) {
+                            let _done = WindowDone(gate);
+                            pump_share(shards_ref, w, horizon);
+                        }
+                    })
+                    .thread()
+                    .clone()
+            })
+            .collect();
+        // Dropping the leader (also on unwind) releases the workers.
+        let leader = GateLeader {
+            gate: &gate,
+            workers,
+        };
 
         let mut t_window = SimTime::ZERO;
         let mut fi = 0usize;
@@ -1195,14 +1471,7 @@ where
             }
             // Horizon: earliest pending work anywhere, advanced by the
             // lookahead, cut at the next fault and the hard end.
-            let mut pending = fe.calendar.peek_time();
-            for shard in shards_ref {
-                let mut shard = shard.lock().expect("shard lock");
-                pending = match (pending, shard.st.queue.peek_time()) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-            }
+            let pending = fe.earliest_pending(shards_ref);
             let next_fault = faults.get(fi).map(|&(t, _)| t);
             let earliest = match (pending, next_fault) {
                 (Some(a), Some(b)) => a.min(b),
@@ -1225,24 +1494,24 @@ where
             // Front-end phase: arrivals and due deliveries in [T, H).
             fe.run_front_phase(shards_ref, horizon);
 
-            // Worker phase.
-            *command.lock().expect("command lock") = (horizon, false);
-            start_barrier.wait();
-            done_barrier.wait();
+            // Worker phase: arm the shards with work before the horizon,
+            // open the gate, pump share 0 here, wait for the rest.
+            fe.arm(shards_ref);
+            leader.open(horizon.0);
+            pump_share(shards_ref, 0, horizon);
+            leader.wait_done();
 
             // Merge phase.
             fe.merge_window(shards_ref);
             t_window = horizon;
         }
-        *command.lock().expect("command lock") = (SimTime::ZERO, true);
-        start_barrier.wait();
     });
 
     // Assemble the report exactly as the sequential finish() does.
     let outstanding = fe
         .arrivals_total
         .saturating_sub(fe.front.completed + fe.timeouts_total + fe.lost_total);
-    let sites = shards.into_iter().map(|shard| {
+    let sites = shards.cells.into_iter().map(|shard| {
         let shard = shard.into_inner().expect("shard lock");
         let site_outcome = EngineOutcome {
             per_fn: shard.st.per_fn,

@@ -213,9 +213,9 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    /// Insert an event. `at` must not precede the cursor's window start
-    /// (callers clamp to the engine clock, which never trails the
-    /// cursor's last pop).
+    /// Insert an event. Any `at` is accepted: one at or before the
+    /// cursor's slot (even one a peek has already cascaded past) joins
+    /// the ready heap, where `(at, seq)` order keeps the contract exact.
     pub fn insert(&mut self, at: SimTime, seq: u64, event: E) {
         self.len += 1;
         self.place(at.0, seq, event);
@@ -346,24 +346,23 @@ impl<E> TimerWheel<E> {
 
     /// Timestamp of the earliest pending event without popping it.
     ///
-    /// With cancellations outstanding the wheel must purge tombstones
-    /// off the front so peek and pop agree (a cancelled front event
-    /// must not masquerade as the next timestamp); the purge cascades
-    /// exactly the buckets a pop would, so the calendar's observable
-    /// order is unchanged.
+    /// The peek refills the ready heap exactly as the next `pop` would
+    /// (cascading the same buckets, in the same order) and reads its
+    /// top, so after the first peek of a slot every further peek is
+    /// `O(1)`. Tombstones found on top are purged so a cancelled front
+    /// event never masquerades as the next timestamp. Cascading early
+    /// leaves the calendar's observable order unchanged: an event
+    /// inserted afterwards at or before the cursor's slot lands in the
+    /// ready heap, whose `(at, seq)` order still pops it first.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        if self.cancelled.is_empty() {
-            return self.peek_time_raw();
-        }
         loop {
             if !self.ensure_ready() {
                 return None;
             }
             // After `ensure_ready` the ready-heap top is the global
-            // earliest event (the same invariant `pop` relies on), so
-            // purging tombstones off the top yields the true peek.
+            // earliest event (the same invariant `pop` relies on).
             while let Some(top) = self.ready.peek() {
-                if self.cancelled.contains(&top.seq) {
+                if !self.cancelled.is_empty() && self.cancelled.contains(&top.seq) {
                     let r = self.ready.pop().expect("peeked");
                     self.cancelled.remove(&r.seq);
                 } else {
@@ -371,37 +370,6 @@ impl<E> TimerWheel<E> {
                 }
             }
             // Every ready event was a tombstone: refill and retry.
-        }
-    }
-
-    /// Tombstone-free peek: non-destructive (no cascading), so it
-    /// cannot assume buckets have been re-leveled as the cursor
-    /// advanced: a coarse-level resident can be earlier than everything
-    /// at finer levels. Per level, the nearest occupied bucket does
-    /// hold that level's minimum, so the global minimum is the min over
-    /// the ready heap, each level's nearest bucket, and the first
-    /// overflow bucket.
-    fn peek_time_raw(&self) -> Option<SimTime> {
-        let mut best = self.ready.peek().map(|r| r.at);
-        for (level, lv) in self.levels.iter().enumerate() {
-            let cursor_slot = slot_of(self.cursor << SHIFT0, level as u32);
-            if let Some(abs) = lv.next_occupied(cursor_slot) {
-                let idx = (abs & (SLOTS - 1)) as usize;
-                let m = lv.buckets[idx].iter().map(|&(at, _, _)| at).min();
-                best = match (best, m) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-            }
-        }
-        let of = self
-            .overflow
-            .values()
-            .next()
-            .and_then(|b| b.iter().map(|&(at, _, _)| at).min());
-        match (best, of) {
-            (Some(a), Some(b)) => Some(SimTime(a.min(b))),
-            (a, b) => a.or(b).map(SimTime),
         }
     }
 }

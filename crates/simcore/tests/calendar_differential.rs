@@ -5,7 +5,8 @@
 //! `(time, seq)` first — and every fixed-seed golden in the workspace
 //! leans on it. This harness drives [`TimerWheel`] and [`HeapCalendar`]
 //! with identical operation sequences (schedules interleaved with pops,
-//! i.e. schedule-during-pop) and requires bit-identical pop streams.
+//! i.e. schedule-during-pop, and with bare peeks, i.e.
+//! schedule-after-peek) and requires bit-identical pop streams.
 //!
 //! Offset scales are chosen to exercise every wheel path: zero offsets
 //! (same-instant ties through the ready heap), sub-slot offsets, every
@@ -20,6 +21,10 @@ enum Op {
     Schedule(u64),
     /// Pop one event from both calendars and compare.
     Pop,
+    /// Peek both calendars without popping and compare. Later
+    /// `Schedule` ops may land before the peeked time — the parallel
+    /// front loop's peek-then-schedule-earlier pattern.
+    Peek,
     /// Cancel a still-pending event (picked by index into the live
     /// set) on both calendars; both must acknowledge, and a second
     /// cancel of the same seq must be absorbed identically.
@@ -34,6 +39,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         Just(Op::Pop),
         Just(Op::Pop),
+        Just(Op::Peek),
         // Same-instant tie with whatever else lands at `now`.
         Just(Op::Schedule(0)),
         // Within the current level-0 slot (~4 µs).
@@ -79,6 +85,9 @@ proptest! {
                         now = t.0;
                         live.retain(|&s| s != e);
                     }
+                }
+                Op::Peek => {
+                    prop_assert_eq!(wheel.peek_time(), heap.peek_time());
                 }
                 Op::Cancel(idx) => {
                     if live.is_empty() {
@@ -152,6 +161,39 @@ fn cancel_during_pop_matches_heap_oracle() {
         }
     }
     assert_eq!(drained, vec![2, 3, 4, 5, 6, 8]);
+}
+
+/// Directed regression: a peek cascades the wheel up to the earliest
+/// pending event; an event scheduled afterwards *earlier* than the peeked
+/// time (still after the last pop) must pop first on both backends.
+#[test]
+fn peek_then_schedule_earlier_pops_the_earlier_event() {
+    let mut wheel = TimerWheel::new();
+    let mut heap = HeapCalendar::new();
+    // Far enough out to sit on a coarse level until the peek cascades it.
+    let late = SimTime(1 << 30);
+    wheel.insert(late, 0, 0);
+    heap.insert(late, 0, 0);
+    assert_eq!(wheel.peek_time(), Some(late));
+    assert_eq!(heap.peek_time(), Some(late));
+    // Earlier than the peeked time: a different level-0 slot, and a
+    // different slot at every coarser level too.
+    for (seq, at) in [(1u64, SimTime(1 << 20)), (2, SimTime((1 << 30) - 1))] {
+        wheel.insert(at, seq, seq);
+        heap.insert(at, seq, seq);
+    }
+    assert_eq!(wheel.peek_time(), Some(SimTime(1 << 20)));
+    assert_eq!(heap.peek_time(), Some(SimTime(1 << 20)));
+    let mut drained = Vec::new();
+    loop {
+        let (w, h) = (wheel.pop(), heap.pop());
+        assert_eq!(w, h);
+        match w {
+            Some((_, e)) => drained.push(e),
+            None => break,
+        }
+    }
+    assert_eq!(drained, vec![1, 2, 0]);
 }
 
 proptest! {

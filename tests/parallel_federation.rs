@@ -436,6 +436,70 @@ fn zero_latency_topologies_are_rejected() {
     );
 }
 
+/// A site scheduler that panics on its `fuse`-th arrival.
+struct Fused {
+    inner: FixedServer,
+    fuse: usize,
+}
+
+impl SchedulerPolicy for Fused {
+    type Event = FsEv;
+    type Report = Vec<FnStats>;
+
+    fn on_start(&mut self, ctx: &mut impl PolicyCtx<FsEv>) {
+        self.inner.on_start(ctx);
+    }
+
+    fn on_arrival(&mut self, ctx: &mut impl PolicyCtx<FsEv>, rid: ReqId, f: u32, now: SimTime) {
+        self.fuse = self
+            .fuse
+            .checked_sub(1)
+            .expect("site scheduler blew its fuse");
+        self.inner.on_arrival(ctx, rid, f, now);
+    }
+
+    fn on_event(&mut self, ctx: &mut impl PolicyCtx<FsEv>, ev: FsEv, now: SimTime) {
+        self.inner.on_event(ctx, ev, now);
+    }
+
+    fn finish(self, outcome: EngineOutcome) -> Vec<FnStats> {
+        self.inner.finish(outcome)
+    }
+}
+
+impl ContainerChaos for Fused {}
+
+/// A site scheduler panicking on a spawned worker thread must unwind
+/// the whole run instead of leaving the main thread waiting at the
+/// window gate forever.
+#[test]
+#[should_panic]
+fn a_panicking_site_on_a_worker_unwinds_the_run() {
+    // Site 1 belongs to share 1, which a spawned worker pumps; the
+    // other sites never blow.
+    let sites = metas(&LATS)
+        .into_iter()
+        .enumerate()
+        .map(|(i, m)| {
+            let fuse = if i == 1 { 5 } else { usize::MAX };
+            (
+                m,
+                Fused {
+                    inner: FixedServer::new(0.05),
+                    fuse,
+                },
+            )
+        })
+        .collect();
+    run_federation_parallel(
+        engine_cfg(3, Some(2)),
+        probe_entry(8.0),
+        Federation::new(sites, RouterKind::RoundRobin.build(), &fed_functions()),
+        ChaosConfig::default(),
+        3,
+    );
+}
+
 proptest! {
     // Every case runs two real federated simulations; keep the count
     // modest.
