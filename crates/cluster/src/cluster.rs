@@ -185,12 +185,6 @@ impl Cluster {
         self.nodes.iter().map(Node::cpu_used).sum()
     }
 
-    /// Total free CPU across nodes (fragmented; a single container may not
-    /// fit even when this is large).
-    pub fn total_cpu_free(&self) -> CpuMilli {
-        self.nodes.iter().map(Node::cpu_free).sum()
-    }
-
     /// Total memory capacity across nodes.
     pub fn total_mem_capacity(&self) -> MemMib {
         self.nodes.iter().map(Node::mem_capacity).sum()
@@ -270,28 +264,6 @@ impl Cluster {
             },
         )?;
         self.create_container_on_vec(fn_id, node_id, standard_cpu, demand, now, ready_at)
-    }
-
-    /// Create a container on a specific node (used by the OpenWhisk
-    /// baseline's sharding scheduler).
-    pub fn create_container_on(
-        &mut self,
-        fn_id: FnId,
-        node_id: NodeId,
-        standard_cpu: CpuMilli,
-        cpu: CpuMilli,
-        mem: MemMib,
-        now: SimTime,
-        ready_at: SimTime,
-    ) -> Result<ContainerId, ClusterError> {
-        self.create_container_on_vec(
-            fn_id,
-            node_id,
-            standard_cpu,
-            ResourceVec::cpu_mem(cpu, mem),
-            now,
-            ready_at,
-        )
     }
 
     /// Create a container with a full demand vector on a specific node.

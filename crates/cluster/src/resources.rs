@@ -196,11 +196,6 @@ impl ResourceVec {
         }
     }
 
-    /// Whether every component is zero.
-    pub fn is_zero(self) -> bool {
-        self == ResourceVec::ZERO
-    }
-
     /// Componentwise saturating subtraction.
     pub fn saturating_sub(self, rhs: ResourceVec) -> ResourceVec {
         ResourceVec {

@@ -871,6 +871,53 @@ impl SchedulerPolicy for LassPolicy {
 mod tests {
     use super::*;
     use lass_functions::micro_benchmark;
+    use lass_simcore::FnStats;
+
+    /// One function's ledger fed a fixed outcome sequence, against
+    /// counts worked out by hand. SLO deadline 0.5 s on the wait.
+    ///
+    /// | outcome    | wait | service | response | violation?          |
+    /// |------------|------|---------|----------|---------------------|
+    /// | completion | 0.1  | 0.2     | 0.3      | no                  |
+    /// | completion | 0.8  | 0.2     | 1.0      | yes (0.8 > 0.5)     |
+    /// | completion | 0.5  | 0.1     | 0.6      | no (not above 0.5)  |
+    /// | timeout    |      |         |          | yes (always)        |
+    /// | loss       |      |         |          | not counted         |
+    /// | rerun      |      |         |          | not an outcome      |
+    ///
+    /// So completed 3, timeouts 1, lost 1, reruns 1, slo_violations 2;
+    /// waits sum to 1.4 (mean 1.4 / 3), responses to 1.9 (mean 1.9 / 3).
+    /// Attainment divides by completed + timeouts = 4: 1 − 2/4 = 0.5.
+    #[test]
+    fn ledger_counts_a_fixed_sequence_as_worked_out_by_hand() {
+        let mut f = FnStats::new("probe".into(), 0.5, false);
+        // The engine counts arrivals at admission: the five requests
+        // that reached an outcome (a rerun is not a new arrival).
+        f.arrivals = 5;
+        assert!(!f.record_completion(0.1, 0.2, 0.3));
+        assert!(f.record_completion(0.8, 0.2, 1.0));
+        assert!(!f.record_completion(0.5, 0.1, 0.6));
+        f.record_timeout();
+        f.record_loss();
+        f.record_rerun();
+
+        assert_eq!(
+            (f.completed, f.timeouts, f.lost, f.reruns, f.slo_violations),
+            (3, 1, 1, 1, 2)
+        );
+        assert_eq!((f.hedged, f.cancelled), (0, 0));
+        assert_eq!(f.arrivals, f.completed + f.timeouts + f.lost);
+        assert_eq!(f.wait.count(), 3);
+        assert_eq!(f.service.count(), 3);
+        assert_eq!(f.response.count(), 3);
+        assert!((f.wait.mean().unwrap() - 1.4 / 3.0).abs() < 1e-12);
+        assert!((f.response.mean().unwrap() - 1.9 / 3.0).abs() < 1e-12);
+        assert_eq!(f.wait.max(), Some(0.8));
+        assert_eq!(
+            slo_attainment(f.completed, f.timeouts, f.slo_violations),
+            0.5
+        );
+    }
 
     fn quick_sim(rate: f64, duration: f64, autoscale: bool, initial: u32) -> SimReport {
         let mut cfg = LassConfig::default();

@@ -91,11 +91,6 @@ impl ServiceTimeProfiler {
         self.offline.insert(fn_id, model);
     }
 
-    /// The offline model, if registered.
-    pub fn offline_model(&self, fn_id: FnId) -> Option<&ServiceModel> {
-        self.offline.get(&fn_id)
-    }
-
     /// Record one observed service time (seconds) at the given deflation
     /// ratio.
     pub fn record(&mut self, fn_id: FnId, deflation: f64, observed: f64) {

@@ -303,16 +303,6 @@ impl MmcQueue {
         }
         self.erlang_c() / (f64::from(self.c) * self.mu - self.lambda)
     }
-
-    /// Mean queue length (excluding in-service requests), by Little's law.
-    pub fn mean_queue_len(&self) -> f64 {
-        self.lambda * self.mean_wait()
-    }
-
-    /// Mean response time `E[T] = E[W] + 1/μ`.
-    pub fn mean_response(&self) -> f64 {
-        self.mean_wait() + 1.0 / self.mu
-    }
 }
 
 /// Allocation-free incremental Erlang-C evaluator — the route-decision

@@ -89,7 +89,12 @@ impl Default for EngineConfig {
     }
 }
 
-/// Per-function statistics collected by the engine.
+/// Per-function statistics: the one place a request outcome is counted.
+///
+/// The engine keeps one per function, each federated site one per
+/// function, and the parallel executor's cross-site aggregate one per
+/// function; all of them count through the `record_*` methods, so a
+/// completion, timeout, loss or rerun means the same thing everywhere.
 ///
 /// `hedged` / `cancelled` count request *clones*: a hedged dispatch
 /// duplicates an in-flight request without creating a new engine
@@ -99,7 +104,7 @@ impl Default for EngineConfig {
 /// clones accounted for separately. Serialization emits the two keys
 /// only when nonzero so reports from hedging-free runs are
 /// byte-identical to the pre-hedging format.
-#[derive(Debug)]
+#[derive(Debug, Serialize)]
 pub struct FnStats {
     /// Function display name.
     pub name: String,
@@ -119,8 +124,10 @@ pub struct FnStats {
     /// timeouts).
     pub slo_violations: usize,
     /// Hedge clones dispatched for this function's requests.
+    #[serde(skip_serializing_if = "is_zero")]
     pub hedged: usize,
     /// Hedge clones cancelled after a sibling won the race.
+    #[serde(skip_serializing_if = "is_zero")]
     pub cancelled: usize,
     /// Waiting times (arrival → service start), seconds.
     pub wait: SampleStats,
@@ -130,32 +137,72 @@ pub struct FnStats {
     pub service: SampleStats,
 }
 
-impl Serialize for FnStats {
-    fn serialize(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        m.insert("name".to_string(), self.name.serialize());
-        m.insert("slo_deadline".to_string(), self.slo_deadline.serialize());
-        m.insert("arrivals".to_string(), self.arrivals.serialize());
-        m.insert("completed".to_string(), self.completed.serialize());
-        m.insert("reruns".to_string(), self.reruns.serialize());
-        m.insert("timeouts".to_string(), self.timeouts.serialize());
-        m.insert("lost".to_string(), self.lost.serialize());
-        m.insert(
-            "slo_violations".to_string(),
-            self.slo_violations.serialize(),
-        );
-        // Hedging tallies appear only when hedging actually fired, so
-        // hedge-free reports keep their exact historical byte layout.
-        if self.hedged != 0 {
-            m.insert("hedged".to_string(), self.hedged.serialize());
+fn is_zero(n: &usize) -> bool {
+    *n == 0
+}
+
+impl FnStats {
+    /// Empty statistics for one function; `streaming` keeps the samples
+    /// in P² (O(1)-memory) form instead of retaining every one.
+    // Inlined: set-up builds one per function per site and one per
+    // function in the engine, and an out-of-line call showed in the
+    // set-up time of replays with many functions.
+    #[inline]
+    pub fn new(name: String, slo_deadline: f64, streaming: bool) -> Self {
+        let samples = || {
+            if streaming {
+                SampleStats::streaming()
+            } else {
+                SampleStats::new()
+            }
+        };
+        Self {
+            name,
+            slo_deadline,
+            arrivals: 0,
+            completed: 0,
+            reruns: 0,
+            timeouts: 0,
+            lost: 0,
+            slo_violations: 0,
+            hedged: 0,
+            cancelled: 0,
+            wait: samples(),
+            response: samples(),
+            service: samples(),
         }
-        if self.cancelled != 0 {
-            m.insert("cancelled".to_string(), self.cancelled.serialize());
+    }
+
+    /// Count a completed request with its waiting, service and response
+    /// times (seconds). Returns whether the wait exceeded the SLO
+    /// deadline, which also counts as a violation.
+    pub fn record_completion(&mut self, wait: f64, service: f64, response: f64) -> bool {
+        self.completed += 1;
+        self.wait.record(wait);
+        self.service.record(service);
+        self.response.record(response);
+        let violated = wait > self.slo_deadline;
+        if violated {
+            self.slo_violations += 1;
         }
-        m.insert("wait".to_string(), self.wait.serialize());
-        m.insert("response".to_string(), self.response.serialize());
-        m.insert("service".to_string(), self.service.serialize());
-        serde::Value::Object(m)
+        violated
+    }
+
+    /// Count a request abandoned after a hard time limit: a timeout and
+    /// an SLO violation.
+    pub fn record_timeout(&mut self) {
+        self.timeouts += 1;
+        self.slo_violations += 1;
+    }
+
+    /// Count a request dropped without service.
+    pub fn record_loss(&mut self) {
+        self.lost += 1;
+    }
+
+    /// Count a live request that lost its server and is re-dispatched.
+    pub fn record_rerun(&mut self) {
+        self.reruns += 1;
     }
 }
 
@@ -174,6 +221,31 @@ pub struct Completion {
     pub response: f64,
     /// Whether the wait exceeded the function's SLO deadline.
     pub violated_slo: bool,
+}
+
+impl Completion {
+    /// Time a request of `fn_idx` that arrived at `arrival`, started
+    /// service at `started` and finished at `now`, and count it in
+    /// `stats`.
+    pub(crate) fn record(
+        stats: &mut FnStats,
+        fn_idx: u32,
+        arrival: SimTime,
+        started: SimTime,
+        now: SimTime,
+    ) -> Self {
+        let wait = started.saturating_since(arrival).as_secs_f64();
+        let service = now.saturating_since(started).as_secs_f64();
+        let response = now.saturating_since(arrival).as_secs_f64();
+        Self {
+            fn_idx,
+            arrival,
+            wait,
+            service,
+            response,
+            violated_slo: stats.record_completion(wait, service, response),
+        }
+    }
 }
 
 /// Everything the engine measured, handed to
@@ -290,23 +362,11 @@ enum Ev<E> {
 }
 
 struct FnRt {
-    entry_name: String,
-    slo_deadline: f64,
     process: Box<dyn ArrivalProcess + Send>,
     arrival_rng: SimRng,
     service_rng: SimRng,
     window_count: u64,
-    arrivals: usize,
-    completed: usize,
-    reruns: usize,
-    timeouts: usize,
-    lost: usize,
-    slo_violations: usize,
-    hedged: usize,
-    cancelled: usize,
-    wait: SampleStats,
-    response: SampleStats,
-    service: SampleStats,
+    stats: FnStats,
 }
 
 /// The engine's mutable state, exposed to the policy during a run.
@@ -321,17 +381,10 @@ pub struct EngineCtx<E> {
 
 impl<E> EngineCtx<E> {
     fn new(cfg: &EngineConfig, functions: Vec<FunctionEntry>) -> Self {
-        let new_stats = if cfg.stream_stats {
-            SampleStats::streaming
-        } else {
-            SampleStats::new
-        };
         let fns = functions
             .into_iter()
             .enumerate()
             .map(|(i, f)| FnRt {
-                entry_name: f.name,
-                slo_deadline: f.slo_deadline,
                 process: f.process,
                 arrival_rng: SimRng::from_seed_label(
                     cfg.seed,
@@ -342,17 +395,7 @@ impl<E> EngineCtx<E> {
                     &format!("{}service:{i}", cfg.rng_label_prefix),
                 ),
                 window_count: 0,
-                arrivals: 0,
-                completed: 0,
-                reruns: 0,
-                timeouts: 0,
-                lost: 0,
-                slo_violations: 0,
-                hedged: 0,
-                cancelled: 0,
-                wait: new_stats(),
-                response: new_stats(),
-                service: new_stats(),
+                stats: FnStats::new(f.name, f.slo_deadline, cfg.stream_stats),
             })
             .collect();
         let end = SimTime::from_secs_f64(cfg.duration_secs);
@@ -407,42 +450,22 @@ impl<E> EngineCtx<E> {
     /// request. Returns `None` for an unknown (already retired) request.
     pub fn complete(&mut self, rid: ReqId, started: SimTime, now: SimTime) -> Option<Completion> {
         let (fn_idx, arrival) = self.requests.remove(rid.0)?;
-        let wait = started.saturating_since(arrival).as_secs_f64();
-        let service = now.saturating_since(started).as_secs_f64();
-        let response = now.saturating_since(arrival).as_secs_f64();
-        let rt = &mut self.fns[fn_idx as usize];
-        rt.completed += 1;
-        rt.wait.record(wait);
-        rt.service.record(service);
-        rt.response.record(response);
-        let violated_slo = wait > rt.slo_deadline;
-        if violated_slo {
-            rt.slo_violations += 1;
-        }
-        Some(Completion {
-            fn_idx,
-            arrival,
-            wait,
-            service,
-            response,
-            violated_slo,
-        })
+        let stats = &mut self.fns[fn_idx as usize].stats;
+        Some(Completion::record(stats, fn_idx, arrival, started, now))
     }
 
     /// Abandon a request that exceeded a hard time limit: counts as a
     /// timeout *and* an SLO violation, and retires the request.
     pub fn abandon(&mut self, rid: ReqId) -> Option<u32> {
         let (fn_idx, _) = self.requests.remove(rid.0)?;
-        let rt = &mut self.fns[fn_idx as usize];
-        rt.timeouts += 1;
-        rt.slo_violations += 1;
+        self.fns[fn_idx as usize].stats.record_timeout();
         Some(fn_idx)
     }
 
     /// Drop a request that could not be placed anywhere.
     pub fn lose(&mut self, rid: ReqId) -> Option<u32> {
         let (fn_idx, _) = self.requests.remove(rid.0)?;
-        self.fns[fn_idx as usize].lost += 1;
+        self.fns[fn_idx as usize].stats.record_loss();
         Some(fn_idx)
     }
 
@@ -451,7 +474,7 @@ impl<E> EngineCtx<E> {
     /// request alive.
     pub fn rerun(&mut self, rid: ReqId) -> Option<u32> {
         let (fn_idx, _) = self.requests.get(rid.0)?;
-        self.fns[fn_idx as usize].reruns += 1;
+        self.fns[fn_idx as usize].stats.record_rerun();
         Some(fn_idx)
     }
 
@@ -471,24 +494,12 @@ impl<E> EngineCtx<E> {
 
     /// Tally a hedge clone dispatched for `fn_idx`.
     pub fn note_hedged(&mut self, fn_idx: u32) {
-        self.fns[fn_idx as usize].hedged += 1;
+        self.fns[fn_idx as usize].stats.hedged += 1;
     }
 
     /// Tally a hedge clone cancelled for `fn_idx`.
     pub fn note_cancelled(&mut self, fn_idx: u32) {
-        self.fns[fn_idx as usize].cancelled += 1;
-    }
-
-    /// Generation-stamped slot token for a live request (see
-    /// [`RequestTable::slot_token`]); used by hedging layers to make a
-    /// stale cancel of a reused slot a provable no-op.
-    pub fn request_token(&self, rid: ReqId) -> Option<u64> {
-        self.requests.slot_token(rid.0)
-    }
-
-    /// Whether `token` still refers to `rid`'s live record.
-    pub fn request_token_live(&self, rid: ReqId, token: u64) -> bool {
-        self.requests.token_live(rid.0, token)
+        self.fns[fn_idx as usize].stats.cancelled += 1;
     }
 
     fn new_request(&mut self, fn_idx: u32, now: SimTime) -> ReqId {
@@ -496,7 +507,7 @@ impl<E> EngineCtx<E> {
         self.next_req += 1;
         self.requests.insert(rid.0, fn_idx, now);
         let rt = &mut self.fns[fn_idx as usize];
-        rt.arrivals += 1;
+        rt.stats.arrivals += 1;
         rt.window_count += 1;
         rid
     }
@@ -516,25 +527,7 @@ impl<E> EngineCtx<E> {
     fn into_outcome(self, duration_secs: f64) -> EngineOutcome {
         EngineOutcome {
             outstanding: self.requests.len(),
-            per_fn: self
-                .fns
-                .into_iter()
-                .map(|rt| FnStats {
-                    name: rt.entry_name,
-                    slo_deadline: rt.slo_deadline,
-                    arrivals: rt.arrivals,
-                    completed: rt.completed,
-                    reruns: rt.reruns,
-                    timeouts: rt.timeouts,
-                    lost: rt.lost,
-                    slo_violations: rt.slo_violations,
-                    hedged: rt.hedged,
-                    cancelled: rt.cancelled,
-                    wait: rt.wait,
-                    response: rt.response,
-                    service: rt.service,
-                })
-                .collect(),
+            per_fn: self.fns.into_iter().map(|rt| rt.stats).collect(),
             duration_secs,
         }
     }
@@ -718,6 +711,20 @@ mod tests {
         assert_eq!(a.per_fn[0].arrivals, b.per_fn[0].arrivals);
         assert_eq!(a.per_fn[0].wait.samples(), b.per_fn[0].wait.samples());
         assert_ne!(a.per_fn[0].wait.samples(), c.per_fn[0].wait.samples());
+    }
+
+    #[test]
+    fn hedging_keys_are_serialized_only_when_nonzero() {
+        let mut f = FnStats::new("f".into(), 0.5, false);
+        let keys = |f: &FnStats| match f.serialize() {
+            serde::Value::Object(m) => m.keys().cloned().collect::<Vec<_>>(),
+            other => panic!("expected an object, got {other:?}"),
+        };
+        assert!(!keys(&f).iter().any(|k| k == "hedged" || k == "cancelled"));
+        f.hedged = 2;
+        let with_hedged = keys(&f);
+        assert!(with_hedged.iter().any(|k| k == "hedged"));
+        assert!(!with_hedged.iter().any(|k| k == "cancelled"));
     }
 
     #[test]

@@ -10,15 +10,13 @@
 //!   default): `O(1)` scheduling, cache-friendly buckets, built for
 //!   trace replay with 10⁴–10⁶ in-flight timers.
 //! * [`HeapCalendar`] — the original `BinaryHeap`: simple and obviously
-//!   correct, kept as the differential-testing oracle and selectable as
-//!   the [`EventQueue`] backend with the `heap-calendar` feature.
+//!   correct, kept as the differential-testing oracle.
 //!
 //! A differential proptest (`tests/calendar_differential.rs`) holds the
 //! two to bit-identical pop order over arbitrary schedules, so every
 //! fixed-seed golden in the workspace is insensitive to the choice.
 
 use crate::time::SimTime;
-#[cfg(not(feature = "heap-calendar"))]
 use crate::wheel::TimerWheel;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -57,8 +55,7 @@ impl<E> Ord for Scheduled<E> {
 ///
 /// [`EventQueue`] uses the timer wheel by default; this type remains
 /// `pub` so differential tests can drive both backends with identical
-/// `(at, seq)` streams, and so the `heap-calendar` feature can fall
-/// back to it wholesale.
+/// `(at, seq)` streams.
 #[derive(Debug)]
 pub struct HeapCalendar<E> {
     heap: BinaryHeap<Scheduled<E>>,
@@ -152,10 +149,7 @@ impl<E> HeapCalendar<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    #[cfg(not(feature = "heap-calendar"))]
     calendar: TimerWheel<E>,
-    #[cfg(feature = "heap-calendar")]
-    calendar: HeapCalendar<E>,
     seq: u64,
     now: SimTime,
 }
@@ -170,10 +164,7 @@ impl<E> EventQueue<E> {
     /// An empty calendar positioned at `t = 0`.
     pub fn new() -> Self {
         Self {
-            #[cfg(not(feature = "heap-calendar"))]
             calendar: TimerWheel::new(),
-            #[cfg(feature = "heap-calendar")]
-            calendar: HeapCalendar::new(),
             seq: 0,
             now: SimTime::ZERO,
         }

@@ -43,8 +43,19 @@
 //! waste budget and clone ranking, snapshots and their loss rules, fault
 //! flips, the front half of migration and the report.
 //!
-//! This executor keeps the scoped site context, epoch-tagged events,
-//! inline zero-hop delivery and hedge-race resolution. A copy's
+//! The site-private half is one `SiteLedger` per site, which both
+//! executors keep: the site's live requests, completions held behind a
+//! partition, per-function arrival windows and statistics, and chaos
+//! crash count, with one method each for admitting a delivery,
+//! finishing a request, releasing a cancelled clone, holding and
+//! releasing stalled completions, and evacuating a crashed site.
+//! Outcomes are counted through [`FnStats`]' `record_*` methods, the
+//! same ones the engine uses.
+//!
+//! This executor keeps the scoped site context, per-site incarnations
+//! (epoch-tagged events), the abandoned hedge copies whose completions
+//! are wasted work, inline zero-hop delivery and hedge-race resolution.
+//! A copy's
 //! completion retires the request in the engine's request table at the
 //! instant it happens, so the race is decided right there; the parallel
 //! executor only sees outcomes at a window's merge and decides in merge
@@ -217,17 +228,34 @@ impl Serialize for HedgeTrigger {
     }
 }
 
+impl std::str::FromStr for HedgeTrigger {
+    type Err = String;
+
+    /// The string forms: `immediate`, `predicted-p95-over-slo` (alias
+    /// `p95`) and `deferred:<ms>`. The delay is only parsed here;
+    /// [`HedgeConfig::validate`] judges its value.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "immediate" => Ok(HedgeTrigger::Immediate),
+            "predicted-p95-over-slo" | "p95" => Ok(HedgeTrigger::PredictedP95OverSlo),
+            other => match other.strip_prefix("deferred:") {
+                Some(ms) => ms
+                    .parse()
+                    .map(HedgeTrigger::DeferredMs)
+                    .map_err(|_| format!("bad deferred hedge delay {ms:?}")),
+                None => Err(format!(
+                    "unknown hedge trigger {other:?} (expected \"immediate\", \
+                     \"predicted-p95-over-slo\", \"p95\" or \"deferred:<ms>\")"
+                )),
+            },
+        }
+    }
+}
+
 impl Deserialize for HedgeTrigger {
     fn deserialize(v: &Value) -> Result<Self, Error> {
         if let Some(s) = v.as_str() {
-            return match s {
-                "immediate" => Ok(HedgeTrigger::Immediate),
-                "predicted-p95-over-slo" => Ok(HedgeTrigger::PredictedP95OverSlo),
-                other => Err(Error::custom(format!(
-                    "unknown hedge trigger {other:?} (expected \"immediate\", \
-                     \"predicted-p95-over-slo\", or {{\"deferred_ms\": <ms>}})"
-                ))),
-            };
+            return s.parse().map_err(Error::custom);
         }
         if let Value::Object(m) = v {
             if let (1, Some(ms)) = (m.len(), m.get("deferred_ms")) {
@@ -235,8 +263,8 @@ impl Deserialize for HedgeTrigger {
             }
         }
         Err(Error::custom(
-            "hedge trigger must be \"immediate\", \"predicted-p95-over-slo\", \
-             or {\"deferred_ms\": <ms>}",
+            "hedge trigger must be a string (\"immediate\", \"predicted-p95-over-slo\", \
+             \"p95\", \"deferred:<ms>\") or {\"deferred_ms\": <ms>}",
         ))
     }
 }
@@ -357,85 +385,153 @@ pub enum FedEv<E> {
     },
 }
 
-/// The site-private half of a site's bookkeeping, kept by the scoped
-/// context. The router-facing half is the front end's
+/// The site-private half of a site's bookkeeping, shared by both
+/// executors: this module's scoped context and the parallel shard keep
+/// one each. The router-facing half is the front end's
 /// [`FrontSite`](crate::frontend::FrontSite).
-pub(crate) struct SiteTally {
-    /// Requests delivered to the site and not yet finished.
-    pub(crate) in_flight: usize,
+///
+/// `A` is what the site keeps per live request beside its function:
+/// nothing here, where the engine's request table holds the arrival
+/// instant; the arrival instant on a parallel shard, which has no such
+/// table.
+pub(crate) struct SiteLedger<A = ()> {
     /// Per-function arrival counts since the site's last window take.
-    pub(crate) window: Vec<u64>,
+    window: Vec<u64>,
     /// Per-function statistics of requests finished at this site.
     pub(crate) per_fn: Vec<FnStats>,
-    /// Live requests held by the site (delivered, not yet finished),
-    /// keyed by request id for deterministic evacuation order.
-    pub(crate) live: BTreeMap<u64, u32>,
+    /// Live requests held by the site (delivered, not yet finished):
+    /// rid → (function, `A`), keyed by request id for deterministic
+    /// evacuation order. Their count is the site's in-flight load.
+    live: BTreeMap<u64, (u32, A)>,
     /// Completions held back by an ongoing partition: `(rid, started)`.
-    pub(crate) stalled: Vec<(u64, SimTime)>,
-    /// Site incarnation; bumped on crash to invalidate stale events.
-    pub(crate) epoch: u32,
+    stalled: Vec<(u64, SimTime)>,
     /// Containers crashed here by chaos bursts.
     pub(crate) chaos_crashes: u32,
-    /// Hedge copies that lost the race at this site and may still be in
-    /// service — their eventual (suppressed) completion is wasted work.
-    /// Inserted when the sibling wins, consumed by the suppressed
-    /// completion; a copy cancelled while still queued leaves its entry
-    /// behind (it never completes), which is bookkeeping-only.
-    pub(crate) hedge_lost: BTreeSet<u64>,
 }
 
-impl SiteTally {
+impl SiteLedger {
     fn new(functions: &[FedFunction]) -> Self {
         Self {
-            in_flight: 0,
             window: vec![0; functions.len()],
             per_fn: functions
                 .iter()
-                .map(|f| FnStats {
-                    name: f.name.clone(),
-                    slo_deadline: f.slo_deadline,
-                    arrivals: 0,
-                    completed: 0,
-                    reruns: 0,
-                    timeouts: 0,
-                    lost: 0,
-                    slo_violations: 0,
-                    hedged: 0,
-                    cancelled: 0,
-                    wait: SampleStats::new(),
-                    response: SampleStats::new(),
-                    service: SampleStats::new(),
-                })
+                .map(|f| FnStats::new(f.name.clone(), f.slo_deadline, false))
                 .collect(),
             live: BTreeMap::new(),
             stalled: Vec::new(),
-            epoch: 0,
             chaos_crashes: 0,
-            hedge_lost: BTreeSet::new(),
         }
     }
 }
 
-/// Fold one finished request into site `i`'s statistics and the front
+impl<A: Copy> SiteLedger<A> {
+    /// The same books with another live-request payload. Only for a
+    /// ledger that holds no live request yet: the parallel executor
+    /// takes over the federation's fresh ledgers this way.
+    pub(crate) fn with_payload<B>(self) -> SiteLedger<B> {
+        assert!(self.live.is_empty(), "ledger already holds requests");
+        SiteLedger {
+            window: self.window,
+            per_fn: self.per_fn,
+            live: BTreeMap::new(),
+            stalled: self.stalled,
+            chaos_crashes: self.chaos_crashes,
+        }
+    }
+
+    /// Function `fn_idx`'s statistics at this site.
+    pub(crate) fn stats(&mut self, fn_idx: u32) -> &mut FnStats {
+        &mut self.per_fn[fn_idx as usize]
+    }
+
+    /// A delivered request enters the site.
+    pub(crate) fn admit(&mut self, rid: u64, fn_idx: u32, payload: A) {
+        self.window[fn_idx as usize] += 1;
+        self.stats(fn_idx).arrivals += 1;
+        self.live.insert(rid, (fn_idx, payload));
+    }
+
+    /// The site's record of a live request: `(function, payload)`.
+    pub(crate) fn get(&self, rid: u64) -> Option<(u32, A)> {
+        self.live.get(&rid).copied()
+    }
+
+    /// A request leaves the site finished (completed, timed out or
+    /// lost); returns its record if the site still held it. The caller
+    /// counts the outcome in [`SiteLedger::stats`].
+    pub(crate) fn finish(&mut self, rid: u64) -> Option<(u32, A)> {
+        self.live.remove(&rid)
+    }
+
+    /// A cancelled hedge clone leaves the site: counted as `cancelled`
+    /// if the site still held it, whose function is returned.
+    pub(crate) fn release_clone(&mut self, rid: u64) -> Option<u32> {
+        let (fn_idx, _) = self.live.remove(&rid)?;
+        self.stats(fn_idx).cancelled += 1;
+        Some(fn_idx)
+    }
+
+    /// Hold back a completion the cut link cannot carry, if the site
+    /// still holds the request.
+    pub(crate) fn stall(&mut self, rid: u64, started: SimTime) {
+        if self.live.contains_key(&rid) {
+            self.stalled.push((rid, started));
+        }
+    }
+
+    /// The partition healed: the held completions, in holding order.
+    pub(crate) fn release_stalled(&mut self) -> Vec<(u64, SimTime)> {
+        std::mem::take(&mut self.stalled)
+    }
+
+    /// The site crashed: drop the held completions and hand back every
+    /// live request, in request-id order, for migration.
+    pub(crate) fn evacuate(&mut self) -> BTreeMap<u64, (u32, A)> {
+        self.stalled.clear();
+        std::mem::take(&mut self.live)
+    }
+
+    /// A rebuilt site starts with empty arrival windows.
+    pub(crate) fn restart(&mut self) {
+        self.window.fill(0);
+    }
+
+    /// Arrival counts per function since the previous take.
+    pub(crate) fn take_window_counts(&mut self) -> Vec<u64> {
+        self.window.iter_mut().map(std::mem::take).collect()
+    }
+
+    /// Requests delivered to the site and not yet finished.
+    pub(crate) fn in_flight(&self) -> usize {
+        self.live.len()
+    }
+
+    /// The site's measurements for its scheduler's report, plus its
+    /// chaos crash count.
+    pub(crate) fn into_outcome(self, duration_secs: f64) -> (EngineOutcome, u32) {
+        let outcome = EngineOutcome {
+            outstanding: self.live.len(),
+            per_fn: self.per_fn,
+            duration_secs,
+        };
+        (outcome, self.chaos_crashes)
+    }
+}
+
+/// Fold one finished request into site `i`'s ledger and the front
 /// end's view of the site.
 fn record_completion(
     front: &mut FrontEnd,
-    tally: &mut SiteTally,
+    ledger: &mut SiteLedger,
     i: usize,
     rid: u64,
     c: &Completion,
 ) {
     front.record_completion(i, c.service);
-    tally.live.remove(&rid);
-    let f = &mut tally.per_fn[c.fn_idx as usize];
-    f.completed += 1;
-    f.wait.record(c.wait);
-    f.service.record(c.service);
-    f.response.record(c.response);
-    if c.violated_slo {
-        f.slo_violations += 1;
-    }
-    tally.in_flight = tally.in_flight.saturating_sub(1);
+    ledger.finish(rid);
+    ledger
+        .stats(c.fn_idx)
+        .record_completion(c.wait, c.service, c.response);
 }
 
 /// The per-site view of the engine: delegates to the real context while
@@ -443,7 +539,11 @@ fn record_completion(
 struct SiteCtx<'a, C> {
     inner: &'a mut C,
     site: u32,
-    tally: &'a mut SiteTally,
+    ledger: &'a mut SiteLedger,
+    /// The site incarnation, stamped on every event the site schedules.
+    epoch: u32,
+    /// The site's entry in [`Federation::hedge_lost`].
+    hedge_lost: &'a mut BTreeSet<u64>,
     front: &'a mut FrontEnd,
     /// Shift applied to scheduled times — non-zero only while replaying
     /// a rebuilt policy's `on_start` (written against `t = 0`) after a
@@ -460,8 +560,7 @@ struct SiteCtx<'a, C> {
 impl<C> SiteCtx<'_, C> {
     /// A request left the site without completing (abandoned or lost).
     fn retire(&mut self, rid: ReqId) {
-        self.tally.live.remove(&rid.0);
-        self.tally.in_flight = self.tally.in_flight.saturating_sub(1);
+        self.ledger.finish(rid.0);
         self.front.sites[self.site as usize].finished += 1;
         self.resolved.push((rid.0, self.site));
     }
@@ -473,7 +572,7 @@ impl<E, C: PolicyCtx<FedEv<E>>> PolicyCtx<E> for SiteCtx<'_, C> {
             at + self.offset,
             FedEv::Site {
                 site: self.site,
-                epoch: self.tally.epoch,
+                epoch: self.epoch,
                 ev,
             },
         );
@@ -502,54 +601,50 @@ impl<E, C: PolicyCtx<FedEv<E>>> PolicyCtx<E> for SiteCtx<'_, C> {
             // partition heals (the stall lands in response time). The
             // policy sees `None` and skips its own completion
             // accounting; the request stays live engine-side.
-            if self.tally.live.contains_key(&rid.0) {
-                self.tally.stalled.push((rid.0, started));
-            }
+            self.ledger.stall(rid.0, started);
             return None;
         }
         // A copy this federation already abandoned (a hedge loser or a
         // speculative retry's original) must not win even if the
         // logical request is still live in the engine: its response is
         // wasted work.
-        if self.tally.hedge_lost.remove(&rid.0) {
+        if self.hedge_lost.remove(&rid.0) {
             let secs = now.saturating_since(started).as_secs_f64();
             self.front.record_waste(i, secs);
             return None;
         }
         let c = self.inner.complete(rid, started, now)?;
-        record_completion(self.front, self.tally, i, rid.0, &c);
+        record_completion(self.front, self.ledger, i, rid.0, &c);
         self.resolved.push((rid.0, self.site));
         Some(c)
     }
 
     fn abandon(&mut self, rid: ReqId) -> Option<u32> {
         let fn_idx = self.inner.abandon(rid)?;
-        let f = &mut self.tally.per_fn[fn_idx as usize];
-        f.timeouts += 1;
-        f.slo_violations += 1;
+        self.ledger.stats(fn_idx).record_timeout();
         self.retire(rid);
         Some(fn_idx)
     }
 
     fn lose(&mut self, rid: ReqId) -> Option<u32> {
         let fn_idx = self.inner.lose(rid)?;
-        self.tally.per_fn[fn_idx as usize].lost += 1;
+        self.ledger.stats(fn_idx).record_loss();
         self.retire(rid);
         Some(fn_idx)
     }
 
     fn rerun(&mut self, rid: ReqId) -> Option<u32> {
         let fn_idx = self.inner.rerun(rid)?;
-        self.tally.per_fn[fn_idx as usize].reruns += 1;
+        self.ledger.stats(fn_idx).record_rerun();
         Some(fn_idx)
     }
 
     fn take_window_counts(&mut self) -> Vec<u64> {
-        self.tally.window.iter_mut().map(std::mem::take).collect()
+        self.ledger.take_window_counts()
     }
 
     fn outstanding(&self) -> usize {
-        self.tally.in_flight
+        self.ledger.in_flight()
     }
 }
 
@@ -673,7 +768,16 @@ pub type SiteRebuild<P> = Box<dyn FnMut(usize, u32) -> P + Send>;
 /// instance per site. See the module docs for the full contract.
 pub struct Federation<P: SchedulerPolicy> {
     pub(crate) sites: Vec<P>,
-    pub(crate) tallies: Vec<SiteTally>,
+    /// Per-site ledgers, handed to the parallel executor's shards.
+    pub(crate) ledgers: Vec<SiteLedger>,
+    /// Per-site incarnation; bumped on crash to invalidate stale events.
+    epochs: Vec<u32>,
+    /// Per site, hedge copies that lost the race there and may still be
+    /// in service — their eventual (suppressed) completion is wasted
+    /// work. Inserted when the sibling wins, consumed by the suppressed
+    /// completion; a copy cancelled while still queued leaves its entry
+    /// behind (it never completes), which is bookkeeping-only.
+    hedge_lost: Vec<BTreeSet<u64>>,
     /// The router-facing half, shared with the parallel executor.
     pub(crate) front: FrontEnd,
     /// Factory that rebuilds a crashed site's scheduler on recovery.
@@ -698,7 +802,9 @@ impl<P: ContainerChaos> Federation<P> {
         assert!(!sites.is_empty(), "federation needs at least one site");
         let (metas, sites): (Vec<SiteMeta>, Vec<P>) = sites.into_iter().unzip();
         Self {
-            tallies: sites.iter().map(|_| SiteTally::new(functions)).collect(),
+            ledgers: sites.iter().map(|_| SiteLedger::new(functions)).collect(),
+            epochs: vec![0; sites.len()],
+            hedge_lost: vec![BTreeSet::new(); sites.len()],
             sites,
             front: FrontEnd::new(metas, router, functions),
             rebuild: None,
@@ -728,12 +834,10 @@ impl<P: ContainerChaos> Federation<P> {
     /// traces with very large function populations; call before the run
     /// starts.
     pub fn with_streaming_stats(mut self) -> Self {
-        for tally in &mut self.tallies {
-            for f in &mut tally.per_fn {
-                f.wait = SampleStats::streaming();
-                f.response = SampleStats::streaming();
-                f.service = SampleStats::streaming();
-            }
+        for f in self.ledgers.iter_mut().flat_map(|l| &mut l.per_fn) {
+            f.wait = SampleStats::streaming();
+            f.response = SampleStats::streaming();
+            f.service = SampleStats::streaming();
         }
         self
     }
@@ -793,7 +897,9 @@ impl<P: ContainerChaos> Federation<P> {
         let ctx = SiteCtx {
             inner,
             site: i as u32,
-            tally: &mut self.tallies[i],
+            ledger: &mut self.ledgers[i],
+            epoch: self.epochs[i],
+            hedge_lost: &mut self.hedge_lost[i],
             front: &mut self.front,
             offset: SimDuration::ZERO,
             resolved: &mut self.hedge_resolved,
@@ -847,7 +953,7 @@ impl<P: ContainerChaos> Federation<P> {
                 .copies
                 .push(c as u32);
             self.front.note_routed(c, now);
-            self.tallies[c].per_fn[fn_idx as usize].hedged += 1;
+            self.ledgers[c].stats(fn_idx).hedged += 1;
             ctx.note_hedged(fn_idx);
             let latency = self.front.sites[c].meta.latency;
             self.send(ctx, c, rid, fn_idx, now, latency);
@@ -874,7 +980,7 @@ impl<P: ContainerChaos> Federation<P> {
         rid: ReqId,
         now: SimTime,
     ) {
-        self.tallies[site as usize].hedge_lost.insert(rid.0);
+        self.hedge_lost[site as usize].insert(rid.0);
         let latency = self.front.sites[site as usize].meta.latency;
         if latency == SimDuration::ZERO {
             self.cancel_clone_at(ctx, site, rid);
@@ -893,10 +999,7 @@ impl<P: ContainerChaos> Federation<P> {
         site: u32,
         rid: ReqId,
     ) {
-        let tally = &mut self.tallies[site as usize];
-        if let Some(fn_idx) = tally.live.remove(&rid.0) {
-            tally.in_flight = tally.in_flight.saturating_sub(1);
-            tally.per_fn[fn_idx as usize].cancelled += 1;
+        if let Some(fn_idx) = self.ledgers[site as usize].release_clone(rid.0) {
             self.front.sites[site as usize].finished += 1;
             ctx.note_cancelled(fn_idx);
         }
@@ -947,7 +1050,7 @@ impl<P: ContainerChaos> Federation<P> {
             // (the race resolved while it crossed the network): consumed
             // at the door, never enters the scheduler.
             self.front.sites[i].finished += 1;
-            let f = &mut self.tallies[i].per_fn[fn_idx as usize];
+            let f = self.ledgers[i].stats(fn_idx);
             f.arrivals += 1;
             f.cancelled += 1;
             ctx.note_cancelled(fn_idx);
@@ -960,11 +1063,7 @@ impl<P: ContainerChaos> Federation<P> {
             self.migrate(ctx, i, rid, fn_idx, now, false);
             return;
         }
-        let tally = &mut self.tallies[i];
-        tally.in_flight += 1;
-        tally.window[fn_idx as usize] += 1;
-        tally.per_fn[fn_idx as usize].arrivals += 1;
-        tally.live.insert(rid.0, fn_idx);
+        self.ledgers[i].admit(rid.0, fn_idx, ());
         let (policy, mut sctx) = self.site(ctx, i);
         policy.on_arrival(&mut sctx, rid, fn_idx, now);
     }
@@ -982,19 +1081,15 @@ impl<P: ContainerChaos> Federation<P> {
         now: SimTime,
         delivered: bool,
     ) {
-        // Release the source site's commitment either way.
+        // Release the source site's commitment either way (a crash
+        // already evacuated a delivered request from the site's ledger).
         self.front.sites[from].finished += 1;
-        let tally = &mut self.tallies[from];
-        if delivered {
-            tally.in_flight = tally.in_flight.saturating_sub(1);
-            tally.live.remove(&rid.0);
-        }
         if self.front.hedge.is_some() {
             // A copy this federation already abandoned (a hedge loser
             // whose cancel is still in flight, or a retry-abandoned
             // original) dies with its site instead of migrating — it
             // must never resurrect as a live copy.
-            let abandoned = tally.hedge_lost.remove(&rid.0);
+            let abandoned = self.hedge_lost[from].remove(&rid.0);
             let sibling_alive = self.hedges.get(&rid.0).is_some_and(|g| g.copies.len() > 1);
             if abandoned || sibling_alive || ctx.request_info(rid).is_none() {
                 // A hedge clone with a surviving sibling — or whose
@@ -1007,7 +1102,7 @@ impl<P: ContainerChaos> Federation<P> {
                     }
                 }
                 if delivered {
-                    self.tallies[from].per_fn[fn_idx as usize].cancelled += 1;
+                    self.ledgers[from].stats(fn_idx).cancelled += 1;
                 }
                 ctx.note_cancelled(fn_idx);
                 return;
@@ -1016,7 +1111,7 @@ impl<P: ContainerChaos> Federation<P> {
         let Some((dest, hop)) = self.front.reroute(self.sites.as_slice(), from, fn_idx, now) else {
             // Nowhere to go: the request is failed.
             if delivered {
-                self.tallies[from].per_fn[fn_idx as usize].lost += 1;
+                self.ledgers[from].stats(fn_idx).record_loss();
             }
             ctx.lose(rid);
             if self.front.hedge.is_some() {
@@ -1102,7 +1197,7 @@ impl<P: ContainerChaos> SchedulerPolicy for Federation<P> {
             FedEv::Deliver { site, rid, fn_idx } => self.deliver(ctx, site, rid, fn_idx, now),
             FedEv::Site { site, epoch, ev } => {
                 let i = site as usize;
-                if epoch != self.tallies[i].epoch {
+                if epoch != self.epochs[i] {
                     return; // stale event of a crashed incarnation
                 }
                 let (policy, mut sctx) = self.site(ctx, i);
@@ -1176,14 +1271,10 @@ impl<P: ContainerChaos> SchedulerPolicy for Federation<P> {
         let sites = self
             .sites
             .into_iter()
-            .zip(self.tallies)
-            .map(|(site, tally)| {
-                let site_outcome = EngineOutcome {
-                    per_fn: tally.per_fn,
-                    outstanding: tally.in_flight,
-                    duration_secs,
-                };
-                (site, site_outcome, tally.chaos_crashes)
+            .zip(self.ledgers)
+            .map(|(site, ledger)| {
+                let (outcome, chaos_crashes) = ledger.into_outcome(duration_secs);
+                (site, outcome, chaos_crashes)
             });
         self.front.into_report(sites, outcome, 1)
     }
@@ -1206,20 +1297,14 @@ impl<P: ContainerChaos> ChaosTarget for Federation<P> {
                     self.rebuild.is_some(),
                     "site-crash faults require Federation::with_rebuild"
                 );
-                let tally = &mut self.tallies[i];
                 // Invalidate every event the dead incarnation scheduled.
-                tally.epoch += 1;
-                tally.stalled.clear();
-                let orphans: Vec<(u64, u32)> =
-                    std::mem::take(&mut tally.live).into_iter().collect();
-                for (rid, fn_idx) in orphans {
+                self.epochs[i] += 1;
+                for (rid, (fn_idx, _)) in self.ledgers[i].evacuate() {
                     self.migrate(ctx, i, ReqId(rid), fn_idx, now, true);
                 }
             }
             SiteEffect::Rebuild(restarts) => {
-                let tally = &mut self.tallies[i];
-                tally.in_flight = 0;
-                tally.window.fill(0);
+                self.ledgers[i].restart();
                 let rebuild = self.rebuild.as_mut().expect("checked at SiteDown");
                 self.sites[i] = rebuild(i, restarts);
                 // Replay the fresh policy's start-up (timer setup,
@@ -1232,10 +1317,9 @@ impl<P: ContainerChaos> ChaosTarget for Federation<P> {
             SiteEffect::PartitionEnd => {
                 // Release the responses the cut link held back; their
                 // response time now includes the stall.
-                let stalled = std::mem::take(&mut self.tallies[i].stalled);
-                for (rid, started) in stalled {
+                for (rid, started) in self.ledgers[i].release_stalled() {
                     if let Some(c) = ctx.complete(ReqId(rid), started, now) {
-                        record_completion(&mut self.front, &mut self.tallies[i], i, rid, &c);
+                        record_completion(&mut self.front, &mut self.ledgers[i], i, rid, &c);
                         if self.front.hedge.is_some() {
                             self.hedge_resolved.push((rid, i as u32));
                         }
@@ -1244,7 +1328,7 @@ impl<P: ContainerChaos> ChaosTarget for Federation<P> {
                         // behind the cut: the held response is wasted
                         // work, and the clone leaves the books as
                         // cancelled rather than completed.
-                        if self.tallies[i].hedge_lost.remove(&rid) {
+                        if self.hedge_lost[i].remove(&rid) {
                             let secs = now.saturating_since(started).as_secs_f64();
                             self.front.record_waste(i, secs);
                         }
@@ -1256,7 +1340,7 @@ impl<P: ContainerChaos> ChaosTarget for Federation<P> {
             SiteEffect::Burst(count) => {
                 let (policy, mut sctx) = self.site(ctx, i);
                 let crashed = policy.crash_containers(&mut sctx, count, now);
-                self.tallies[i].chaos_crashes += crashed;
+                self.ledgers[i].chaos_crashes += crashed;
             }
         }
         self.drain_hedge_resolutions(ctx, now);

@@ -69,11 +69,19 @@
 //! Routing-side state and decisions belong to the front-end core shared
 //! with [`Federation`] (see [`crate::federation`]), which reads each
 //! site's census through one lock on its barrier-parked shard per
-//! refresh. This module keeps the shards and their site-local
-//! [`PolicyCtx`], the worker pump, mailboxes and window gate, the
-//! window loop, the merge, and merge-order hedge arbitration: the first
-//! terminal outcome of any copy to merge wins, and later copies count
-//! as cancelled or wasted work.
+//! refresh. Each shard embeds the site's ledger
+//! (`SiteLedger`, also shared with [`Federation`]): live requests,
+//! held completions, arrival windows, per-function statistics and
+//! chaos crash count. The shard adds what only this executor needs: the
+//! site's own calendar, its current-window inbox, its view of the
+//! partition flag, the outcome log the merge replays, and per-site
+//! service-time streams. This module keeps the shards and their
+//! site-local [`PolicyCtx`], the worker pump, mailboxes and window
+//! gate, the window loop, the merge, and merge-order hedge arbitration:
+//! the first terminal outcome of any copy to merge wins, and later
+//! copies count as cancelled or wasted work. The merge folds outcomes
+//! into the cross-site aggregate through the same
+//! [`FnStats`] methods the engine uses.
 //!
 //! # Determinism contract
 //!
@@ -108,9 +116,8 @@ use crate::engine::{
     Completion, EngineConfig, EngineOutcome, FnStats, FunctionEntry, PolicyCtx, ReqId,
 };
 use crate::events::EventQueue;
-use crate::federation::{FederatedReport, Federation, SiteRebuild};
+use crate::federation::{FederatedReport, Federation, SiteLedger, SiteRebuild};
 use crate::frontend::{FrontEnd, HedgeAction, SiteAccess, SiteEffect};
-use crate::metrics::SampleStats;
 use crate::rng::SimRng;
 use crate::telemetry::TelemetrySnapshot;
 use crate::time::{SimDuration, SimTime};
@@ -152,11 +159,7 @@ enum Msg {
 enum LogKind {
     Completed {
         rid: u64,
-        fn_idx: u32,
-        wait: f64,
-        service: f64,
-        response: f64,
-        violated: bool,
+        c: Completion,
     },
     Timeout {
         rid: u64,
@@ -186,25 +189,17 @@ struct LogEntry {
 /// touch during its window.
 struct ShardState<E> {
     site: u32,
+    /// The site's ledger, the type the sequential executor keeps too:
+    /// live requests with their arrival instants (the shard's request
+    /// table), held completions, arrival windows and per-function
+    /// statistics.
+    ledger: SiteLedger<SimTime>,
     /// The site scheduler's own event calendar.
     queue: EventQueue<E>,
     /// Current-window messages from the front-end, time-sorted.
     inbox: VecDeque<(SimTime, Msg)>,
-    /// Live requests held by the site: rid → (fn, arrival), keyed by
-    /// request id for deterministic crash-evacuation order.
-    live: BTreeMap<u64, (u32, SimTime)>,
-    /// Completions held back by an ongoing partition: `(rid, started)`.
-    stalled: Vec<(u64, SimTime)>,
     /// Whether the router↔site link is currently cut (shard's view).
     partitioned: bool,
-    /// Requests delivered and not yet finished.
-    in_flight: usize,
-    /// Per-function arrival counts since the last window take.
-    window: Vec<u64>,
-    /// Per-function statistics of requests finished at this site.
-    per_fn: Vec<FnStats>,
-    /// Containers crashed here by chaos bursts.
-    chaos_crashes: u32,
     /// Outcomes recorded this window, drained by the merge phase.
     log: Vec<LogEntry>,
     /// Lazily created per-site service streams, labelled
@@ -239,45 +234,19 @@ struct LocalCtx<'a, E> {
 }
 
 impl<E> ShardState<E> {
-    /// The shared completion path: compute the request's timings, fold
-    /// them into the site statistics, and log the outcome for the merge
-    /// phase. Mirrors the sequential engine's `complete` plus the
-    /// federation's site-side completion record (the front end's half
-    /// is replayed by the merge phase).
+    /// The shared completion path: time the request, count it in the
+    /// site's ledger, and log the outcome for the merge phase (which
+    /// replays the front end's half).
     fn complete_now(&mut self, rid: u64, started: SimTime, now: SimTime) -> Option<Completion> {
-        let (fn_idx, arrival) = self.live.remove(&rid)?;
-        let wait = started.saturating_since(arrival).as_secs_f64();
-        let service = now.saturating_since(started).as_secs_f64();
-        let response = now.saturating_since(arrival).as_secs_f64();
-        let f = &mut self.per_fn[fn_idx as usize];
-        let violated_slo = wait > f.slo_deadline;
-        f.completed += 1;
-        f.wait.record(wait);
-        f.service.record(service);
-        f.response.record(response);
-        if violated_slo {
-            f.slo_violations += 1;
-        }
-        self.in_flight = self.in_flight.saturating_sub(1);
-        self.log.push(LogEntry {
-            t: now,
-            kind: LogKind::Completed {
-                rid,
-                fn_idx,
-                wait,
-                service,
-                response,
-                violated: violated_slo,
-            },
-        });
-        Some(Completion {
-            fn_idx,
-            arrival,
-            wait,
-            service,
-            response,
-            violated_slo,
-        })
+        let (fn_idx, arrival) = self.ledger.finish(rid)?;
+        let c = Completion::record(self.ledger.stats(fn_idx), fn_idx, arrival, started, now);
+        self.log_at(now, LogKind::Completed { rid, c });
+        Some(c)
+    }
+
+    /// Log an outcome at `t` for the merge phase.
+    fn log_at(&mut self, t: SimTime, kind: LogKind) {
+        self.log.push(LogEntry { t, kind });
     }
 }
 
@@ -302,61 +271,48 @@ impl<E> PolicyCtx<E> for LocalCtx<'_, E> {
     }
 
     fn request_info(&self, rid: ReqId) -> Option<(u32, SimTime)> {
-        self.st.live.get(&rid.0).copied()
+        self.st.ledger.get(rid.0)
     }
 
     fn complete(&mut self, rid: ReqId, started: SimTime, now: SimTime) -> Option<Completion> {
         if self.st.partitioned {
             // The response cannot cross the cut link: hold it until the
             // partition heals, exactly like the sequential SiteCtx.
-            if self.st.live.contains_key(&rid.0) {
-                self.st.stalled.push((rid.0, started));
-            }
+            self.st.ledger.stall(rid.0, started);
             return None;
         }
         self.st.complete_now(rid.0, started, now)
     }
 
     fn abandon(&mut self, rid: ReqId) -> Option<u32> {
-        let (fn_idx, _) = self.st.live.remove(&rid.0)?;
-        let f = &mut self.st.per_fn[fn_idx as usize];
-        f.timeouts += 1;
-        f.slo_violations += 1;
-        self.st.in_flight = self.st.in_flight.saturating_sub(1);
-        self.st.log.push(LogEntry {
-            t: self.now,
-            kind: LogKind::Timeout { rid: rid.0, fn_idx },
-        });
+        let (fn_idx, _) = self.st.ledger.finish(rid.0)?;
+        self.st.ledger.stats(fn_idx).record_timeout();
+        self.st
+            .log_at(self.now, LogKind::Timeout { rid: rid.0, fn_idx });
         Some(fn_idx)
     }
 
     fn lose(&mut self, rid: ReqId) -> Option<u32> {
-        let (fn_idx, _) = self.st.live.remove(&rid.0)?;
-        self.st.per_fn[fn_idx as usize].lost += 1;
-        self.st.in_flight = self.st.in_flight.saturating_sub(1);
-        self.st.log.push(LogEntry {
-            t: self.now,
-            kind: LogKind::Lost { rid: rid.0, fn_idx },
-        });
+        let (fn_idx, _) = self.st.ledger.finish(rid.0)?;
+        self.st.ledger.stats(fn_idx).record_loss();
+        self.st
+            .log_at(self.now, LogKind::Lost { rid: rid.0, fn_idx });
         Some(fn_idx)
     }
 
     fn rerun(&mut self, rid: ReqId) -> Option<u32> {
-        let &(fn_idx, _) = self.st.live.get(&rid.0)?;
-        self.st.per_fn[fn_idx as usize].reruns += 1;
-        self.st.log.push(LogEntry {
-            t: self.now,
-            kind: LogKind::Rerun { fn_idx },
-        });
+        let (fn_idx, _) = self.st.ledger.get(rid.0)?;
+        self.st.ledger.stats(fn_idx).record_rerun();
+        self.st.log_at(self.now, LogKind::Rerun { fn_idx });
         Some(fn_idx)
     }
 
     fn take_window_counts(&mut self) -> Vec<u64> {
-        self.st.window.iter_mut().map(std::mem::take).collect()
+        self.st.ledger.take_window_counts()
     }
 
     fn outstanding(&self) -> usize {
-        self.st.in_flight
+        self.st.ledger.in_flight()
     }
 }
 
@@ -393,10 +349,7 @@ fn pump_shard<P: ContainerChaos>(shard: &mut Shard<P>, horizon: SimTime) -> Opti
                     fn_idx,
                     arrival,
                 } => {
-                    ctx.st.in_flight += 1;
-                    ctx.st.window[fn_idx as usize] += 1;
-                    ctx.st.per_fn[fn_idx as usize].arrivals += 1;
-                    ctx.st.live.insert(rid, (fn_idx, arrival));
+                    ctx.st.ledger.admit(rid, fn_idx, arrival);
                     policy.on_arrival(&mut ctx, ReqId(rid), fn_idx, t);
                 }
                 Msg::PartitionStart => {
@@ -406,14 +359,13 @@ fn pump_shard<P: ContainerChaos>(shard: &mut Shard<P>, horizon: SimTime) -> Opti
                     ctx.st.partitioned = false;
                     // Release the responses the cut link held back; the
                     // stall lands in their response time.
-                    let stalled = std::mem::take(&mut ctx.st.stalled);
-                    for (rid, started) in stalled {
+                    for (rid, started) in ctx.st.ledger.release_stalled() {
                         ctx.st.complete_now(rid, started, t);
                     }
                 }
                 Msg::Burst { count } => {
                     let crashed = policy.crash_containers(&mut ctx, count, t);
-                    ctx.st.chaos_crashes += crashed;
+                    ctx.st.ledger.chaos_crashes += crashed;
                 }
                 Msg::Directive { desired } => {
                     policy.apply_desired_fleet(&mut ctx, desired, t);
@@ -423,13 +375,8 @@ fn pump_shard<P: ContainerChaos>(shard: &mut Shard<P>, horizon: SimTime) -> Opti
                     // event for the clone later finds the request gone
                     // and degrades to a no-op, exactly like the
                     // sequential cancel path.
-                    if let Some((fn_idx, _)) = ctx.st.live.remove(&rid) {
-                        ctx.st.in_flight = ctx.st.in_flight.saturating_sub(1);
-                        ctx.st.per_fn[fn_idx as usize].cancelled += 1;
-                        ctx.st.log.push(LogEntry {
-                            t,
-                            kind: LogKind::Cancelled { rid, fn_idx },
-                        });
+                    if let Some(fn_idx) = ctx.st.ledger.release_clone(rid) {
+                        ctx.st.log_at(t, LogKind::Cancelled { rid, fn_idx });
                     }
                 }
             }
@@ -602,9 +549,6 @@ struct Coordinator<P: ContainerChaos> {
     /// Cross-site aggregate statistics (the engine's own measurement in
     /// the sequential run).
     agg: Vec<FnStats>,
-    arrivals_total: usize,
-    timeouts_total: usize,
-    lost_total: usize,
     next_rid: u64,
     end: SimTime,
     /// Live hedge groups by logical request id.
@@ -749,17 +693,16 @@ impl<P: ContainerChaos> Coordinator<P> {
         if dies {
             self.agg[fn_idx as usize].cancelled += 1;
             if delivered {
-                shards.lock(from).st.per_fn[fn_idx as usize].cancelled += 1;
+                shards.lock(from).st.ledger.stats(fn_idx).cancelled += 1;
             }
             return;
         }
         let Some((dest, hop)) = self.front.reroute(shards, from, fn_idx, now) else {
             // Nowhere to go: the request is failed (engine-level lost).
             if delivered {
-                shards.lock(from).st.per_fn[fn_idx as usize].lost += 1;
+                shards.lock(from).st.ledger.stats(fn_idx).record_loss();
             }
-            self.agg[fn_idx as usize].lost += 1;
-            self.lost_total += 1;
+            self.agg[fn_idx as usize].record_loss();
             // The last copy of a hedged request failing retires its
             // (loser-free) group.
             if let Some(g) = self.hedges.remove(&rid) {
@@ -772,7 +715,7 @@ impl<P: ContainerChaos> Coordinator<P> {
         if delivered {
             // The orphan lost its server; the aggregate rerun counter is
             // the cross-site view of that.
-            self.agg[fn_idx as usize].reruns += 1;
+            self.agg[fn_idx as usize].record_rerun();
         }
         if let Some(g) = self.hedges.get_mut(&rid) {
             // The surviving last copy moves: keep the group's site map
@@ -819,9 +762,7 @@ impl<P: ContainerChaos> Coordinator<P> {
                 // the shard advanced exactly to the fault instant, so the
                 // whole calendar is invalid.
                 shard.st.queue.clear();
-                shard.st.stalled.clear();
-                shard.st.in_flight = 0;
-                let orphans = std::mem::take(&mut shard.st.live);
+                let orphans = shard.st.ledger.evacuate();
                 drop(shard);
                 for (rid, (fn_idx, arrival)) in orphans {
                     self.migrate(shards, i, rid, fn_idx, arrival, now, true);
@@ -830,8 +771,7 @@ impl<P: ContainerChaos> Coordinator<P> {
             SiteEffect::Rebuild(restarts) => {
                 let rebuild = self.rebuild.as_mut().expect("checked at SiteDown");
                 shard.policy = rebuild(i, restarts);
-                shard.st.in_flight = 0;
-                shard.st.window.fill(0);
+                shard.st.ledger.restart();
                 // Replay the fresh policy's start-up (timer setup,
                 // initial provisioning) shifted to the present.
                 let Shard { policy, st } = &mut *shard;
@@ -900,31 +840,17 @@ impl<P: ContainerChaos> Coordinator<P> {
         for (site, e) in merged {
             let i = site as usize;
             match e.kind {
-                LogKind::Completed {
-                    rid,
-                    fn_idx,
-                    wait,
-                    service,
-                    response,
-                    violated,
-                } => {
+                LogKind::Completed { rid, c } => {
                     if hedging && self.hedge_arbitrate(rid, site, e.t) {
                         // A loser finished before its cancel landed:
                         // honest wasted work, not a logical completion.
                         self.front.sites[i].finished += 1;
-                        self.front.record_waste(i, service);
-                        self.agg[fn_idx as usize].cancelled += 1;
+                        self.front.record_waste(i, c.service);
+                        self.agg[c.fn_idx as usize].cancelled += 1;
                         continue;
                     }
-                    self.front.record_completion(i, service);
-                    let f = &mut self.agg[fn_idx as usize];
-                    f.completed += 1;
-                    f.wait.record(wait);
-                    f.service.record(service);
-                    f.response.record(response);
-                    if violated {
-                        f.slo_violations += 1;
-                    }
+                    self.front.record_completion(i, c.service);
+                    self.agg[c.fn_idx as usize].record_completion(c.wait, c.service, c.response);
                 }
                 LogKind::Timeout { rid, fn_idx } | LogKind::Lost { rid, fn_idx } => {
                     self.front.sites[i].finished += 1;
@@ -934,17 +860,12 @@ impl<P: ContainerChaos> Coordinator<P> {
                     }
                     let f = &mut self.agg[fn_idx as usize];
                     if matches!(e.kind, LogKind::Timeout { .. }) {
-                        f.timeouts += 1;
-                        f.slo_violations += 1;
-                        self.timeouts_total += 1;
+                        f.record_timeout();
                     } else {
-                        f.lost += 1;
-                        self.lost_total += 1;
+                        f.record_loss();
                     }
                 }
-                LogKind::Rerun { fn_idx } => {
-                    self.agg[fn_idx as usize].reruns += 1;
-                }
+                LogKind::Rerun { fn_idx } => self.agg[fn_idx as usize].record_rerun(),
                 LogKind::Cancelled { rid, fn_idx } => {
                     self.front.sites[i].finished += 1;
                     self.agg[fn_idx as usize].cancelled += 1;
@@ -963,7 +884,6 @@ impl<P: ContainerChaos> Coordinator<P> {
                 FeEv::Arrival(fn_idx) => {
                     let rid = self.next_rid;
                     self.next_rid += 1;
-                    self.arrivals_total += 1;
                     self.agg[fn_idx as usize].arrivals += 1;
                     if let Some(chosen) = self.front.route_arrival(shards, fn_idx, now) {
                         let latency = self.front.sites[chosen].meta.latency;
@@ -1003,8 +923,7 @@ impl<P: ContainerChaos> Coordinator<P> {
                         }
                     } else {
                         // Every site is dark: shed at the front door.
-                        self.agg[fn_idx as usize].lost += 1;
-                        self.lost_total += 1;
+                        self.agg[fn_idx as usize].record_loss();
                     }
                     self.schedule_next_arrival(fn_idx, now);
                 }
@@ -1302,7 +1221,7 @@ where
     chaos.validate().expect("invalid ChaosConfig");
     let Federation {
         sites,
-        tallies,
+        ledgers,
         front,
         rebuild,
         ..
@@ -1332,25 +1251,20 @@ where
     faults.sort_by_key(|&(t, _)| t);
 
     // The front end moves to the main thread whole; each site's
-    // scheduler and the site-private half of its tally become a shard.
+    // scheduler and its ledger become a shard.
     let mut cells: Vec<Mutex<Shard<P>>> = sites
         .into_iter()
-        .zip(tallies)
+        .zip(ledgers)
         .enumerate()
-        .map(|(i, (policy, tally))| {
+        .map(|(i, (policy, ledger))| {
             Mutex::new(Shard {
                 policy,
                 st: ShardState {
                     site: i as u32,
+                    ledger: ledger.with_payload(),
                     queue: EventQueue::new(),
                     inbox: VecDeque::new(),
-                    live: BTreeMap::new(),
-                    stalled: Vec::new(),
                     partitioned: false,
-                    in_flight: 0,
-                    window: tally.window,
-                    per_fn: tally.per_fn,
-                    chaos_crashes: 0,
                     log: Vec::new(),
                     service_rngs: HashMap::new(),
                     seed: cfg.seed,
@@ -1363,29 +1277,10 @@ where
         .collect();
 
     // Aggregate statistics + arrival machinery, mirroring EngineCtx.
-    let new_stats = if cfg.stream_stats {
-        SampleStats::streaming
-    } else {
-        SampleStats::new
-    };
     let mut agg = Vec::with_capacity(functions.len());
     let mut procs = Vec::with_capacity(functions.len());
     for (i, f) in functions.into_iter().enumerate() {
-        agg.push(FnStats {
-            name: f.name,
-            slo_deadline: f.slo_deadline,
-            arrivals: 0,
-            completed: 0,
-            reruns: 0,
-            timeouts: 0,
-            lost: 0,
-            slo_violations: 0,
-            hedged: 0,
-            cancelled: 0,
-            wait: new_stats(),
-            response: new_stats(),
-            service: new_stats(),
-        });
+        agg.push(FnStats::new(f.name, f.slo_deadline, cfg.stream_stats));
         procs.push((
             f.process,
             SimRng::from_seed_label(cfg.seed, &format!("{}arrival:{i}", cfg.rng_label_prefix)),
@@ -1397,9 +1292,6 @@ where
         rebuild,
         procs,
         agg,
-        arrivals_total: 0,
-        timeouts_total: 0,
-        lost_total: 0,
         next_rid: 0,
         end,
         hedges: BTreeMap::new(),
@@ -1507,18 +1399,17 @@ where
         }
     });
 
-    // Assemble the report exactly as the sequential finish() does.
-    let outstanding = fe
-        .arrivals_total
-        .saturating_sub(fe.front.completed + fe.timeouts_total + fe.lost_total);
+    // Assemble the report exactly as the sequential finish() does. What
+    // the aggregate never saw complete, time out or get lost is still
+    // outstanding (the sequential engine's request table holds it).
+    let (arrivals, retired) = fe.agg.iter().fold((0, 0), |(a, r), f| {
+        (a + f.arrivals, r + f.completed + f.timeouts + f.lost)
+    });
+    let outstanding = arrivals.saturating_sub(retired);
     let sites = shards.cells.into_iter().map(|shard| {
         let shard = shard.into_inner().expect("shard lock");
-        let site_outcome = EngineOutcome {
-            per_fn: shard.st.per_fn,
-            outstanding: shard.st.in_flight,
-            duration_secs,
-        };
-        (shard.policy, site_outcome, shard.st.chaos_crashes)
+        let (outcome, chaos_crashes) = shard.st.ledger.into_outcome(duration_secs);
+        (shard.policy, outcome, chaos_crashes)
     });
     let aggregate = EngineOutcome {
         per_fn: fe.agg,

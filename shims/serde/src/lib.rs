@@ -6,8 +6,8 @@
 //! [`Value`] data model, plus derive macros (re-exported from
 //! `serde_derive`) supporting named structs, tuple structs, enums
 //! (externally tagged and `#[serde(untagged)]`), and the attributes
-//! `#[serde(default)]`, `#[serde(default = "path")]`, and
-//! `#[serde(skip)]`.
+//! `#[serde(default)]`, `#[serde(default = "path")]`, `#[serde(skip)]`,
+//! and `#[serde(skip_serializing_if = "path")]`.
 //!
 //! Unlike real serde there is no streaming serializer: serialization goes
 //! through the in-memory [`Value`] tree, which is plenty for scenario

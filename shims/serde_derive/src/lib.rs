@@ -6,7 +6,8 @@
 //! supported shapes are exactly what this workspace uses:
 //!
 //! * structs with named fields (`#[serde(default)]`,
-//!   `#[serde(default = "path")]`, `#[serde(skip)]` honoured per field;
+//!   `#[serde(default = "path")]`, `#[serde(skip)]` and
+//!   `#[serde(skip_serializing_if = "path")]` honoured per field;
 //!   container-level `#[serde(default)]` marks every field defaultable);
 //! * tuple structs (newtypes serialize transparently, wider tuples as
 //!   arrays);
@@ -24,6 +25,8 @@ struct SerdeAttrs {
     /// `Some("")` for bare `default`, `Some(path)` for `default = "path"`.
     default: Option<String>,
     skip: bool,
+    /// `skip_serializing_if = "path"`: omit the field when `path(&field)`.
+    skip_if: Option<String>,
     untagged: bool,
 }
 
@@ -179,18 +182,41 @@ fn merge_attr(stream: &TokenStream, out: &mut SerdeAttrs) {
                 }
                 "default" => {
                     if matches!(args.get(i + 1), Some(TokenTree::Punct(p)) if p.as_char() == '=') {
-                        let lit = args.get(i + 2).map(|t| t.to_string()).unwrap_or_default();
-                        out.default = Some(lit.trim_matches('"').to_string());
+                        out.default = Some(string_arg(&args, i));
                         i += 3;
                     } else {
                         out.default = Some(String::new());
                         i += 1;
                     }
                 }
+                "skip_serializing_if" => {
+                    out.skip_if = Some(string_arg(&args, i));
+                    i += 3;
+                }
                 _ => i += 1,
             },
             _ => i += 1,
         }
+    }
+}
+
+/// The string literal of the `key = "value"` argument starting at `i`.
+fn string_arg(args: &[TokenTree], i: usize) -> String {
+    let lit = args.get(i + 2).map(|t| t.to_string()).unwrap_or_default();
+    lit.trim_matches('"').to_string()
+}
+
+/// One field's `m.insert(..)` into map `map`, guarded by its
+/// `skip_serializing_if` predicate when it has one; `value` is a
+/// reference to the field.
+fn insert_field(f: &Field, map: &str, value: &str) -> String {
+    let insert = format!(
+        "{map}.insert(::std::string::String::from(\"{0}\"), ::serde::Serialize::serialize({value}));\n",
+        f.name
+    );
+    match &f.attrs.skip_if {
+        Some(path) => format!("if !{path}({value}) {{ {insert} }}\n"),
+        None => insert,
     }
 }
 
@@ -322,10 +348,7 @@ fn gen_serialize(item: &Item) -> String {
                 if f.attrs.skip {
                     continue;
                 }
-                s.push_str(&format!(
-                    "m.insert(::std::string::String::from(\"{0}\"), ::serde::Serialize::serialize(&self.{0}));\n",
-                    f.name
-                ));
+                s.push_str(&insert_field(f, "m", &format!("&self.{}", f.name)));
             }
             s.push_str("::serde::Value::Object(m)");
             s
@@ -382,10 +405,7 @@ fn gen_serialize(item: &Item) -> String {
                             if f.attrs.skip {
                                 continue;
                             }
-                            payload.push_str(&format!(
-                                "__m.insert(::std::string::String::from(\"{0}\"), ::serde::Serialize::serialize({0}));\n",
-                                f.name
-                            ));
+                            payload.push_str(&insert_field(f, "__m", &f.name));
                         }
                         payload.push_str("::serde::Value::Object(__m) }");
                         let value = if item.untagged {

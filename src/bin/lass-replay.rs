@@ -15,7 +15,7 @@
 //! to a file); `sim_req_per_wall_min` is the headline throughput.
 
 use lass::replay::{run_replay, ReplayConfig};
-use lass_simcore::{HedgeConfig, HedgeTrigger, RouterKind};
+use lass_simcore::{HedgeConfig, RouterKind};
 
 fn usage() -> ! {
     eprintln!(
@@ -58,20 +58,10 @@ fn main() {
             "--site-latency-ms" => cfg.site_latency_ms = Some(parse(&arg, args.next())),
             "--hedge" => {
                 let spec: String = parse(&arg, args.next());
-                let trigger = match spec.as_str() {
-                    "immediate" => HedgeTrigger::Immediate,
-                    "p95" | "predicted-p95-over-slo" => HedgeTrigger::PredictedP95OverSlo,
-                    other => match other.strip_prefix("deferred:") {
-                        Some(ms) => HedgeTrigger::DeferredMs(ms.parse().unwrap_or_else(|_| {
-                            eprintln!("error: bad deferred hedge delay {ms:?}");
-                            usage();
-                        })),
-                        None => {
-                            eprintln!("error: unknown hedge trigger {other:?}");
-                            usage();
-                        }
-                    },
-                };
+                let trigger = spec.parse().unwrap_or_else(|e| {
+                    eprintln!("error: {e}");
+                    usage();
+                });
                 cfg.hedge.get_or_insert_with(HedgeConfig::default).trigger = trigger;
             }
             "--hedge-clones" => {

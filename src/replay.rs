@@ -444,6 +444,9 @@ pub fn run_replay(cfg: &ReplayConfig) -> Result<ReplaySummary, String> {
             cfg.utilization
         ));
     }
+    if let Some(h) = &cfg.hedge {
+        h.validate()?;
+    }
     let workload = match &cfg.csv {
         Some(path) => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -683,6 +686,32 @@ mod tests {
             ..quick_cfg()
         })
         .is_err());
+    }
+
+    #[test]
+    fn invalid_hedge_config_is_an_error_not_a_panic() {
+        // `--hedge deferred:-5`, `--hedge deferred:nan`, `--hedge-clones 0`.
+        let bad = [
+            HedgeConfig {
+                trigger: "deferred:-5".parse().unwrap(),
+                ..HedgeConfig::default()
+            },
+            HedgeConfig {
+                trigger: "deferred:nan".parse().unwrap(),
+                ..HedgeConfig::default()
+            },
+            HedgeConfig {
+                max_clones: 0,
+                ..HedgeConfig::default()
+            },
+        ];
+        for hedge in bad {
+            let cfg = ReplayConfig {
+                hedge: Some(hedge),
+                ..quick_cfg()
+            };
+            assert!(run_replay(&cfg).is_err(), "{hedge:?} accepted");
+        }
     }
 
     #[test]
